@@ -17,6 +17,14 @@ cargo build --release
 # failure. Kill the whole test run if it exceeds the budget.
 timeout --kill-after=30 900 cargo test -q
 
+echo "==> stepbench: benchmark replay self-tests"
+# stepbench is a package of its own outside the workspace, so tier-1
+# never compiles it. Its tests check the benchmark's stage replay
+# against DistMoeLayer bit for bit; a layer change that breaks them
+# fails here instead of in the benchmark run.
+timeout --kill-after=30 600 \
+    cargo test --release -q --manifest-path stepbench/Cargo.toml
+
 echo "==> observability smoke: traced 2-rank training step"
 # One training iteration over a 2-rank DistMoeLayer with an injected
 # stall; the example writes a Chrome trace and self-validates it (span

@@ -270,6 +270,7 @@ impl CommWorld {
                 world_size: self.size,
                 deadline: self.deadline,
                 registry: Arc::clone(&registry),
+                epoch: Arc::new(AtomicU64::new(0)),
             })
             .collect()
     }
@@ -284,6 +285,10 @@ pub struct Communicator {
     world_size: usize,
     deadline: Option<Duration>,
     registry: Arc<GroupRegistry>,
+    /// The membership epoch this handle has seen: its world's epoch when
+    /// the handle was built, advanced only by an eviction vote it takes
+    /// part in (see [`Communicator::membership_epoch`]).
+    epoch: Arc<AtomicU64>,
 }
 
 impl Communicator {
@@ -339,11 +344,21 @@ impl Communicator {
         self.registry.wake_all_groups();
     }
 
-    /// The world's current membership epoch (0 until the first eviction
-    /// completes; carried over into reconfigured worlds, so it is
-    /// monotone across cascaded evictions).
+    /// The membership epoch of this handle: 0 for an original world,
+    /// the epoch of the eviction that produced it for a
+    /// [`Communicator::reconfigured`] world, and the new epoch once an
+    /// eviction vote this handle casts completes. It is monotone across
+    /// cascaded evictions. A later eviction among the peers does not
+    /// move it: that generation belongs to the handle the next
+    /// [`Communicator::reconfigured`] hands out.
     pub fn membership_epoch(&self) -> u64 {
-        self.registry.ctrl.epoch()
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Notes a completed eviction vote this handle cast.
+    fn voted_epoch(&self, epoch: u64) -> u64 {
+        self.epoch.fetch_max(epoch, Ordering::AcqRel);
+        epoch
     }
 
     /// Proposes evicting `victim` from the world and blocks until every
@@ -414,7 +429,7 @@ impl Communicator {
         ctrl.reconfig_cond.notify_all();
         loop {
             if let Some(next) = &vote.next {
-                return Ok(next.epoch);
+                return Ok(self.voted_epoch(next.epoch));
             }
             let live: Vec<usize> = (0..self.world_size).filter(|&r| !ctrl.is_dead(r)).collect();
             if live.iter().all(|&r| vote.votes[r]) {
@@ -445,7 +460,7 @@ impl Communicator {
                 obs::set_gauge(obs::names::COLLECTIVES_MEMBERSHIP_EPOCH, epoch as f64);
                 ctrl.reconfig_cond.notify_all();
                 self.registry.wake_all_groups();
-                return Ok(epoch);
+                return Ok(self.voted_epoch(epoch));
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 let waiting_on = live.iter().copied().filter(|&r| !vote.votes[r]).collect();
@@ -641,6 +656,7 @@ impl Communicator {
                 world_size: next.survivors.len(),
                 deadline: self.deadline,
                 registry: Arc::clone(&next.registry),
+                epoch: Arc::new(AtomicU64::new(next.epoch)),
             }),
             None => Err(CommError::RankDown { rank: self.rank }),
         }

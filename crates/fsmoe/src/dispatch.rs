@@ -1,74 +1,43 @@
 //! AlltoAll dispatch algorithms (the paper's *Dispatch*/*Combine*
 //! sub-modules, §3.1).
 //!
-//! The paper pre-implements three AlltoAll algorithms behind one
-//! interface so users can swap them "without impacting our scheduler":
+//! The paper pre-implements its AlltoAll algorithms behind one interface
+//! so users can swap them "without impacting our scheduler". The
+//! [`Dispatcher`] trait is that interface, and [`NcclA2A`] — the default
+//! single-phase NCCL AlltoAll — is the algorithm the live layer runs.
 //!
-//! * [`NcclA2A`] — the default single-phase NCCL AlltoAll;
-//! * [`Hier1DH`] — Hetu's 1-D hierarchical algorithm: an intra-node
-//!   AllGather aggregates node-local traffic, one inter-node AlltoAll
-//!   moves it, and a local selection finishes;
-//! * [`Hier2DH`] — the Tutel/DeepSpeed 2-D hierarchical algorithm: an
-//!   intra-node AlltoAll regroups messages by destination *local index*,
-//!   then an inter-node AlltoAll delivers them, then a local permutation
-//!   restores source order.
-//!
-//! All three deliver the identical permutation — the semantics tests
-//! enforce equality with the direct algorithm — they differ only in which
-//! links carry the bytes (which is what the cost model in the scheduler
-//! crate prices).
+//! Hetu's 1-D hierarchical (1DH) and the Tutel/DeepSpeed 2-D
+//! hierarchical (2DH) algorithms deliver the same permutation over
+//! different links. They are priced in `scheduler::dispatch_cost` and on
+//! the `simnet` timelines, but not run in-process: the rank threads of
+//! one process share one memory, so there is no intra-/inter-node link
+//! asymmetry for a hierarchical exchange to exploit.
 
 use collectives::GroupComm;
 
-use crate::{MoeError, Result};
+use crate::Result;
 
 /// Process-group context a dispatcher runs over.
-///
-/// `ep_group` is the full expert-parallel group. The hierarchical
-/// algorithms additionally need the intra-node slice (`intra`) and the
-/// inter-node slice (`inter`) of that group; rank layout must satisfy
-/// `ep_index = node_index · intra.size() + local_index`.
 #[derive(Debug)]
 pub struct DispatchCtx<'a> {
     /// The full EP group.
     pub ep_group: &'a GroupComm,
-    /// Intra-node slice (same node, all locals). Required by 1DH/2DH.
-    pub intra: Option<&'a GroupComm>,
-    /// Inter-node slice (same local index, all nodes). Required by
-    /// 1DH/2DH.
-    pub inter: Option<&'a GroupComm>,
 }
 
 impl<'a> DispatchCtx<'a> {
-    /// A context with only the flat EP group (direct algorithm only).
+    /// A context over the flat EP group.
     pub fn flat(ep_group: &'a GroupComm) -> Self {
-        DispatchCtx {
-            ep_group,
-            intra: None,
-            inter: None,
-        }
+        DispatchCtx { ep_group }
     }
 
-    /// Advances every group in the context past one abandoned logical
-    /// exchange (see [`GroupComm::skip_op`]).
+    /// Advances the EP group past one abandoned logical exchange (see
+    /// [`GroupComm::skip_op`]).
     ///
     /// The degradation path calls this after giving up on an AlltoAll so
-    /// this rank's *later* collectives on the same groups cannot
+    /// this rank's *later* collectives on the same group cannot
     /// rendezvous with a straggler's stale deposit for the abandoned one.
-    /// For the flat algorithm this is exact (one skipped op on the EP
-    /// group). For the hierarchical algorithms it is conservative: a
-    /// sub-exchange that already completed before the failure is skipped
-    /// too, which surfaces on a later exchange as a typed
-    /// `CommError::Abandoned`/`Timeout` — a further degradation, never a
-    /// silent cross-wire.
     pub fn skip_op(&self) {
         self.ep_group.skip_op();
-        if let Some(g) = self.intra {
-            g.skip_op();
-        }
-        if let Some(g) = self.inter {
-            g.skip_op();
-        }
     }
 }
 
@@ -82,8 +51,7 @@ pub trait Dispatcher: std::fmt::Debug + Send {
     ///
     /// # Errors
     ///
-    /// Returns an error on bad buffer lengths or a missing sub-group for
-    /// hierarchical algorithms.
+    /// Returns an error on bad buffer lengths or a failed exchange.
     fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>>;
 }
 
@@ -101,206 +69,12 @@ impl Dispatcher for NcclA2A {
     }
 }
 
-fn hier_dims(ctx: &DispatchCtx<'_>) -> Result<(usize, usize, usize)> {
-    let (Some(intra), Some(inter)) = (ctx.intra, ctx.inter) else {
-        return Err(MoeError::BadConfig {
-            field: "dispatch_ctx",
-            reason: "hierarchical AlltoAll needs intra and inter groups".into(),
-        });
-    };
-    let n1 = intra.size();
-    let n2 = inter.size();
-    if n1 * n2 != ctx.ep_group.size() {
-        return Err(MoeError::BadConfig {
-            field: "dispatch_ctx",
-            reason: format!(
-                "grid {n1}x{n2} does not cover EP group of {}",
-                ctx.ep_group.size()
-            ),
-        });
-    }
-    Ok((n1, n2, ctx.ep_group.size()))
-}
-
-/// Hetu's 1-D hierarchical AlltoAll: AllGather within the node, one
-/// inter-node AlltoAll, local extraction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Hier1DH;
-
-impl Dispatcher for Hier1DH {
-    fn name(&self) -> &'static str {
-        "1dh_a2a"
-    }
-
-    fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>> {
-        let (n1, n2, n) = hier_dims(ctx)?;
-        if !data.len().is_multiple_of(n) {
-            return Err(MoeError::Comm(collectives::CommError::BadBufferLength {
-                op: "1dh_a2a",
-                len: data.len(),
-                group_size: n,
-            }));
-        }
-        let c = data.len() / n; // chunk size
-        let intra = ctx.intra.expect("checked by hier_dims");
-        let inter = ctx.inter.expect("checked by hier_dims");
-        let my_local = intra.group_index();
-        let my_node = inter.group_index();
-
-        // Phase 1: intra-node AllGather — every GPU of the node now holds
-        // the full node payload (n1 ranks × n chunks).
-        let gathered = intra.all_gather(data)?; // n1 * n * c
-
-        // Phase 2: inter-node AlltoAll among same-local peers. To node
-        // j' we send, for every source local i'' of our node, the chunk
-        // destined to EP rank (j', my_local).
-        let mut send = Vec::with_capacity(n2 * n1 * c);
-        for dst_node in 0..n2 {
-            let dst_rank = dst_node * n1 + my_local;
-            for src_local in 0..n1 {
-                let base = src_local * n * c + dst_rank * c;
-                send.extend_from_slice(&gathered[base..base + c]);
-            }
-        }
-        let recv = inter.all_to_all(&send)?; // from node j'': n1 chunks for me
-
-        // Local reorder: output chunk s (source EP rank s = j''·n1 + i'')
-        // is at position (j''·n1 + i'')·c of recv.
-        let mut out = vec![0.0f32; n * c];
-        for src_node in 0..n2 {
-            for src_local in 0..n1 {
-                let src_rank = src_node * n1 + src_local;
-                let base = (src_node * n1 + src_local) * c;
-                out[src_rank * c..(src_rank + 1) * c].copy_from_slice(&recv[base..base + c]);
-            }
-        }
-        let _ = my_node;
-        Ok(out)
-    }
-}
-
-/// The Tutel/DeepSpeed-MoE 2-D hierarchical AlltoAll.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Hier2DH;
-
-impl Dispatcher for Hier2DH {
-    fn name(&self) -> &'static str {
-        "2dh_a2a"
-    }
-
-    fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>> {
-        let (n1, n2, n) = hier_dims(ctx)?;
-        if !data.len().is_multiple_of(n) {
-            return Err(MoeError::Comm(collectives::CommError::BadBufferLength {
-                op: "2dh_a2a",
-                len: data.len(),
-                group_size: n,
-            }));
-        }
-        let c = data.len() / n;
-        let intra = ctx.intra.expect("checked by hier_dims");
-        let inter = ctx.inter.expect("checked by hier_dims");
-        let my_local = intra.group_index();
-
-        // Phase 1: intra-node AlltoAll grouped by destination local
-        // index. To local peer i' send the n2 chunks destined to
-        // (j', i') for every node j'.
-        let mut send1 = Vec::with_capacity(n * c);
-        for dst_local in 0..n1 {
-            for dst_node in 0..n2 {
-                let dst_rank = dst_node * n1 + dst_local;
-                send1.extend_from_slice(&data[dst_rank * c..(dst_rank + 1) * c]);
-            }
-        }
-        // After this exchange we hold, from each source local i'', its n2
-        // chunks destined to local index `my_local` on every node.
-        let recv1 = intra.all_to_all(&send1)?; // layout: [src_local][dst_node] chunks
-
-        // Phase 2: inter-node AlltoAll grouped by destination node. To
-        // node j' send, from every source local, its chunk for (j',
-        // my_local).
-        let mut send2 = Vec::with_capacity(n * c);
-        for dst_node in 0..n2 {
-            for src_local in 0..n1 {
-                let base = (src_local * n2 + dst_node) * c;
-                send2.extend_from_slice(&recv1[base..base + c]);
-            }
-        }
-        let recv2 = inter.all_to_all(&send2)?; // [src_node][src_local] chunks
-
-        // recv2 is already ordered by source EP rank (node-major ×
-        // local-minor = global EP order).
-        let _ = my_local;
-        Ok(recv2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collectives::run_ranks;
-
-    /// Runs a dispatcher on a 2-node × 2-GPU grid and returns per-rank
-    /// outputs, alongside the direct algorithm's outputs.
-    fn compare_on_grid(dispatcher: &'static (dyn Dispatcher + Sync)) {
-        let results = run_ranks(4, move |comm| {
-            let all: Vec<usize> = (0..4).collect();
-            let ep = comm.subgroup(&all).unwrap();
-            let r = comm.rank();
-            let node = r / 2;
-            let local = r % 2;
-            let intra = comm.subgroup(&[node * 2, node * 2 + 1]).unwrap();
-            let inter = comm.subgroup(&[local, local + 2]).unwrap();
-            // chunk size 3: value encodes (src, dst, lane)
-            let data: Vec<f32> = (0..4)
-                .flat_map(|dst| (0..3).map(move |lane| (r * 100 + dst * 10 + lane) as f32))
-                .collect();
-            let direct = NcclA2A.all_to_all(&data, &DispatchCtx::flat(&ep)).unwrap();
-            let ctx = DispatchCtx {
-                ep_group: &ep,
-                intra: Some(&intra),
-                inter: Some(&inter),
-            };
-            let hier = dispatcher.all_to_all(&data, &ctx).unwrap();
-            (direct, hier)
-        });
-        for (rank, (direct, hier)) in results.into_iter().enumerate() {
-            assert_eq!(direct, hier, "rank {rank} mismatch for hierarchical a2a");
-        }
-    }
-
-    #[test]
-    fn hier_1dh_matches_direct() {
-        static D: Hier1DH = Hier1DH;
-        compare_on_grid(&D);
-    }
-
-    #[test]
-    fn hier_2dh_matches_direct() {
-        static D: Hier2DH = Hier2DH;
-        compare_on_grid(&D);
-    }
-
-    #[test]
-    fn hierarchical_requires_subgroups() {
-        let results = run_ranks(2, |comm| {
-            let ep = comm.world_group();
-            let ctx = DispatchCtx::flat(&ep);
-            let data = vec![0.0; 4];
-            (
-                Hier1DH.all_to_all(&data, &ctx).is_err(),
-                Hier2DH.all_to_all(&data, &ctx).is_err(),
-            )
-        });
-        for (a, b) in results {
-            assert!(a && b);
-        }
-    }
 
     #[test]
     fn names() {
         assert_eq!(NcclA2A.name(), "nccl_a2a");
-        assert_eq!(Hier1DH.name(), "1dh_a2a");
-        assert_eq!(Hier2DH.name(), "2dh_a2a");
     }
 }

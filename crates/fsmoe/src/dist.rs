@@ -19,6 +19,7 @@
 //! single-process [`MoeLayer`](crate::layer::MoeLayer) reference —
 //! distribution, like scheduling, must never change the numbers.
 
+use std::borrow::Cow;
 use std::time::Duration;
 
 use collectives::{CommError, Communicator, GroupComm, HybridTopology};
@@ -27,7 +28,7 @@ use tensor::{Tensor, TensorRng};
 use crate::checkpoint::LayerCheckpoint;
 use crate::config::MoeConfig;
 use crate::dispatch::{DispatchCtx, Dispatcher, NcclA2A};
-use crate::expert::{build_expert, for_each_expert, Expert, ExpertState};
+use crate::expert::{build_expert, Expert};
 use crate::gate::{GShardGate, Gate};
 use crate::grouped::{self, GroupedState};
 use crate::hooks::{MoeHooks, NoopHooks};
@@ -184,20 +185,10 @@ pub struct DistMoeGrads {
     pub shards: Vec<Vec<Tensor>>,
 }
 
-/// How the shard compute of a forward pass was executed (the backward
-/// pass must mirror it).
-#[derive(Debug)]
-enum DistCompute {
-    /// One grouped GEMM pass over all local shards ([`crate::grouped`]).
-    Grouped(GroupedState),
-    /// Per-shard loop (custom or heterogeneous experts).
-    PerExpert(Vec<ExpertState>),
-}
-
 #[derive(Debug)]
 struct DistState {
     routing: Routing,
-    compute: DistCompute,
+    compute: GroupedState,
     gathered_rows: usize,
 }
 
@@ -237,19 +228,18 @@ impl std::fmt::Debug for DistMoeLayer {
 }
 
 /// Row-layout parameters of the gathered `[esp][ep][slot][row]`
-/// buffer, detached from the layer so shard workers can share it.
+/// buffer.
 ///
-/// Each EP position contributes `slots` expert blocks per source
-/// (padded to the placement-wide maximum —
-/// [`ExpertMap::slots_per_position`]); this rank's `local_experts`
-/// real experts occupy the leading slots, trailing pad slots carry
-/// zeros and are never computed on.
+/// Each of the `sources` (ESP shard, EP position) pairs contributes
+/// `slots` expert blocks of `t` rows (padded to the placement-wide
+/// maximum — [`ExpertMap::slots_per_position`]); this rank's
+/// `local_experts` real experts occupy the leading slots, trailing pad
+/// slots carry zeros and are never computed on.
 #[derive(Clone, Copy)]
 struct ShardLayout {
     m: usize,
     t: usize,
-    n_esp: usize,
-    n_ep: usize,
+    sources: usize,
     slots: usize,
     local_experts: usize,
 }
@@ -257,7 +247,7 @@ struct ShardLayout {
 impl ShardLayout {
     /// Rows each dispatch slot owns in the gathered buffer.
     fn rows_per_expert(&self) -> usize {
-        self.n_esp * self.n_ep * self.t
+        self.sources * self.t
     }
 
     /// Uniform group offsets for the concatenated per-expert buffer.
@@ -266,57 +256,149 @@ impl ShardLayout {
             .map(|el| el * self.rows_per_expert())
             .collect()
     }
-}
 
-/// Appends local expert `el`'s rows from the gathered buffer layout
-/// onto `out` — the dispatch-layout → grouped-layout gather.
-fn gather_expert_rows_into(layout: ShardLayout, gathered: &[f32], el: usize, out: &mut Vec<f32>) {
-    let ShardLayout {
-        m,
-        t,
-        n_esp,
-        n_ep,
-        slots,
-        ..
-    } = layout;
-    for s in 0..n_esp {
-        for p in 0..n_ep {
-            let row0 = ((s * n_ep + p) * slots + el) * t;
-            out.extend_from_slice(&gathered[row0 * m..(row0 + t) * m]);
-        }
+    /// First row of every `(expert, source)` block of the gathered
+    /// buffer, in grouped order: local expert major, then source.
+    fn block_rows(self) -> impl Iterator<Item = usize> {
+        let ShardLayout {
+            t,
+            sources,
+            slots,
+            local_experts,
+            ..
+        } = self;
+        (0..local_experts).flat_map(move |el| (0..sources).map(move |src| (src * slots + el) * t))
     }
 }
 
-/// Scatters local expert `el`'s output rows back into the gathered
-/// layout.
-fn scatter_expert_rows(layout: ShardLayout, buffer: &mut [f32], el: usize, rows: &[f32]) {
-    let ShardLayout {
-        m,
-        t,
-        n_esp,
-        n_ep,
-        slots,
-        ..
-    } = layout;
-    let mut src = 0usize;
-    for s in 0..n_esp {
-        for p in 0..n_ep {
-            let row0 = ((s * n_ep + p) * slots + el) * t;
-            buffer[row0 * m..(row0 + t) * m].copy_from_slice(&rows[src * m..(src + t) * m]);
-            src += t;
-        }
+// The stages of a pass. `forward` runs them in this order and
+// `backward` runs the same order on gradients: the adjoint of the
+// AllGather is the ReduceScatter and vice versa, and the AlltoAll is
+// its own adjoint.
+
+/// The EP-group AlltoAll a pass hands to its exchanges: the forward
+/// pass retries and degrades under its [`FaultPolicy`], the backward
+/// pass propagates every failure. The exchanges call it as a method
+/// named `all_to_all` so the analyzer's collective-schedule report
+/// places the AlltoAll inside `exchange_in` and `exchange_out`.
+trait EpAllToAll {
+    fn all_to_all(&mut self, data: &[f32]) -> Result<Vec<f32>>;
+}
+
+impl<F: FnMut(&[f32]) -> Result<Vec<f32>>> EpAllToAll for F {
+    fn all_to_all(&mut self, data: &[f32]) -> Result<Vec<f32>> {
+        self(data)
     }
 }
 
-/// Gathers every local expert's rows into one concatenated grouped
-/// buffer (`local_experts` uniform groups of `rows_per_expert` rows).
-fn grouped_input(layout: ShardLayout, gathered: &[f32]) -> Result<Tensor> {
+/// Permutes a `(E·T, M)` buffer from global-expert order into slot
+/// layout. The AlltoAll exchanges contiguous per-position chunks, so a
+/// non-block placement permutes expert blocks first, padding non-uniform
+/// placements with zero blocks so the chunks stay equal-size. Pure data
+/// movement — resharding never changes the numbers. Block placement is
+/// the identity and borrows `data` without a copy.
+fn to_slots<'a>(map: &ExpertMap, layout: ShardLayout, data: &'a [f32]) -> Cow<'a, [f32]> {
+    if map.is_block() {
+        Cow::Borrowed(data)
+    } else {
+        Cow::Owned(permute_expert_blocks(
+            data,
+            layout.t * layout.m,
+            &map.slot_layout(),
+        ))
+    }
+}
+
+/// The inverse of [`to_slots`]: slot layout back to global-expert
+/// order.
+fn from_slots(map: &ExpertMap, layout: ShardLayout, data: Vec<f32>) -> Vec<f32> {
+    if map.is_block() {
+        data
+    } else {
+        unpermute_expert_blocks(
+            &data,
+            layout.t * layout.m,
+            &map.slot_layout(),
+            map.num_experts(),
+        )
+    }
+}
+
+/// The EP AlltoAll to the expert hosts, then the ESP AllGather that
+/// replicates the node's token set to every shard.
+fn exchange_in(esp: &GroupComm, send: &[f32], a2a: &mut impl EpAllToAll) -> Result<Vec<f32>> {
+    let received = a2a.all_to_all(send)?;
+    Ok(esp.all_gather(&received)?)
+}
+
+/// Runs `ffn` over the local experts' rows of the gathered buffer: the
+/// layout gather into one grouped buffer (`local_experts` uniform groups
+/// of `rows_per_expert` rows — the wire format pads to capacity), the
+/// grouped FFN forward or adjoint, and the layout scatter back. Pad
+/// slots stay zero.
+fn expert_rows<T>(
+    layout: ShardLayout,
+    gathered: &[f32],
+    ffn: impl FnOnce(&Tensor, &[usize]) -> Result<(Tensor, T)>,
+) -> Result<(Vec<f32>, T)> {
+    let block = layout.t * layout.m;
     let rows = layout.local_experts * layout.rows_per_expert();
-    let mut buf = Vec::with_capacity(rows * layout.m);
-    for el in 0..layout.local_experts {
-        gather_expert_rows_into(layout, gathered, el, &mut buf);
+    let mut grouped = Vec::with_capacity(rows * layout.m);
+    for row0 in layout.block_rows() {
+        let at = row0 * layout.m;
+        grouped.extend_from_slice(&gathered[at..at + block]);
     }
-    Ok(Tensor::from_vec(buf, &[rows, layout.m])?)
+    let x = Tensor::from_vec(grouped, &[rows, layout.m])?;
+    let (y, saved) = ffn(&x, &layout.group_offsets())?;
+    let mut out = vec![0.0f32; gathered.len()];
+    for (i, row0) in layout.block_rows().enumerate() {
+        let at = row0 * layout.m;
+        out[at..at + block].copy_from_slice(&y.data()[i * block..(i + 1) * block]);
+    }
+    Ok((out, saved))
+}
+
+/// The ESP ReduceScatter that sums the shard partials into this rank's
+/// token slice, then the EP AlltoAll back to the token sources.
+fn exchange_out(esp: &GroupComm, partial: &[f32], a2a: &mut impl EpAllToAll) -> Result<Vec<f32>> {
+    let reduced = esp.reduce_scatter(partial)?;
+    a2a.all_to_all(&reduced)
+}
+
+/// Records a degraded exchange: `count` token assignments fell back to
+/// the residual path.
+///
+/// This is the **single write path** for drop accounting: the per-layer
+/// counter, the process-wide obs counters (`moe.dropped_tokens` /
+/// `moe.drop_events`) and the [`MoeHooks::on_tokens_dropped`]
+/// notification all fan out from here, so no two views of the account
+/// can diverge.
+fn record_drop(dropped_tokens: &mut usize, hooks: &mut dyn MoeHooks, count: usize) {
+    *dropped_tokens += count;
+    obs::counter_add(obs::names::MOE_DROPPED_TOKENS, count as u64);
+    obs::counter_add(obs::names::MOE_DROP_EVENTS, 1);
+    hooks.on_tokens_dropped(count);
+}
+
+/// Appends `expert`'s weights, flat in [`Expert::weights`] order — the
+/// wire format of [`DistMoeLayer::migrate`] and
+/// [`DistMoeLayer::checkpoint_global`].
+fn flatten_weights(expert: &dyn Expert, out: &mut Vec<f32>) {
+    for w in expert.weights() {
+        out.extend_from_slice(w.data());
+    }
+}
+
+/// Splits one expert's flat weights back into tensors of `shapes`.
+fn unflatten_weights(flat: &[f32], shapes: &[Vec<usize>]) -> Result<Vec<Tensor>> {
+    let mut off = 0usize;
+    let mut weights = Vec::with_capacity(shapes.len());
+    for dims in shapes {
+        let n: usize = dims.iter().product();
+        weights.push(Tensor::from_vec(flat[off..off + n].to_vec(), dims)?);
+        off += n;
+    }
+    Ok(weights)
 }
 
 impl DistMoeLayer {
@@ -421,21 +503,6 @@ impl DistMoeLayer {
         self.dropped_tokens
     }
 
-    /// Records a degraded exchange: `count` token assignments fell back
-    /// to the residual path.
-    ///
-    /// This is the **single write path** for drop accounting: the
-    /// per-layer counter, the process-wide obs counters
-    /// (`moe.dropped_tokens` / `moe.drop_events`) and the
-    /// [`MoeHooks::on_tokens_dropped`] notification all fan out from
-    /// here, so no two views of the account can diverge.
-    fn record_drop(&mut self, count: usize) {
-        self.dropped_tokens += count;
-        obs::counter_add(obs::names::MOE_DROPPED_TOKENS, count as u64);
-        obs::counter_add(obs::names::MOE_DROP_EVENTS, 1);
-        self.hooks.on_tokens_dropped(count);
-    }
-
     /// This rank's local expert shards.
     pub fn shards(&self) -> &[Box<dyn Expert>] {
         &self.shards
@@ -446,15 +513,12 @@ impl DistMoeLayer {
         self.state.as_ref().map(|s| &s.routing)
     }
 
-    /// The row layout of the gathered buffer, as a plain-value struct so
-    /// per-shard workers can capture it without touching `self` (whose
-    /// gate/order/dispatcher fields are not `Sync`).
+    /// The row layout of the gathered buffer.
     fn shard_layout(&self) -> ShardLayout {
         ShardLayout {
             m: self.config.embed_dim,
             t: self.config.capacity(),
-            n_esp: self.esp_group.size(),
-            n_ep: self.ep_group.size(),
+            sources: self.esp_group.size() * self.ep_group.size(),
             slots: self.expert_map.slots_per_position(),
             local_experts: self.experts_per_ep,
         }
@@ -480,11 +544,10 @@ impl DistMoeLayer {
         }
         let mut fwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_FORWARD);
         fwd_span.attr("rank", self.rank);
-        let m = self.config.embed_dim;
-        let t = self.config.capacity();
+        let layout = self.shard_layout();
         let routing = {
             let _s = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_GATE);
-            self.gate.route(input, t, rng)?
+            self.gate.route(input, layout.t, rng)?
         };
         if obs::is_enabled() {
             for &load in &routing.expert_loads() {
@@ -492,138 +555,51 @@ impl DistMoeLayer {
             }
         }
         let buffer = self.order.order(input, &routing)?; // (E·T, M)
+        let send = to_slots(&self.expert_map, layout, buffer.data());
 
-        // The order buffer is in global-expert order; the AlltoAll
-        // exchanges contiguous per-position chunks, so under a
-        // non-block placement the expert blocks are permuted into
-        // slot layout first (and un-permuted after combine). Slot
-        // layouts pad non-uniform placements with zero blocks so the
-        // AlltoAll chunks stay equal-size. Pure data movement —
-        // resharding never changes the numbers.
-        let slot_layout = self.expert_map.slot_layout();
-        let block_elems = t * m;
-        let is_block = self.expert_map.is_block();
-        let permuted;
-        let send: &[f32] = if is_block {
-            buffer.data()
-        } else {
-            permuted = permute_expert_blocks(buffer.data(), block_elems, &slot_layout);
-            &permuted
-        };
-        let send_len = send.len();
-
-        // AlltoAll dispatch over the EP group, with retry/degradation:
-        // an unreachable peer drops this exchange's tokens (zero-fill)
-        // rather than failing the step. A degraded leg counts the routed
-        // assignments as dropped at most once per forward — losing the
-        // same tokens on both legs is still one loss.
+        // Both AlltoAll legs retry and degrade: an unreachable peer
+        // drops the exchange's tokens (zero-fill) rather than failing
+        // the step. A degraded leg counts the routed assignments as
+        // dropped at most once per forward — losing the same tokens on
+        // both legs is still one loss.
+        let assigned = routing.assignments().len();
         let mut degraded = false;
-        let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
-        let dispatched = {
-            let ctx = DispatchCtx::flat(&self.ep_group);
-            a2a_with_policy(
-                self.dispatcher.as_ref(),
-                self.fault_policy,
-                self.rank,
-                send,
-                &ctx,
-            )?
-        };
-        let received = match dispatched {
-            Some(out) => out,
-            None => {
-                degraded = true;
-                self.record_drop(routing.assignments().len());
-                vec![0.0f32; send_len]
-            }
-        };
-
-        // ESP-AllGather: replicate the node's token set to all shards.
-        let gathered = self.esp_group.all_gather(&received)?;
-        drop(dispatch_span);
-        let gathered_rows = gathered.len() / m;
-
-        // Expert shard computation: all local shards' rows run as one
-        // grouped GEMM pass (uniform groups here — the wire format pads
-        // to capacity — but the kernel is the same dropless grouped
-        // dispatch the single-process layer uses). Experts without a
-        // groupable FFN view fall back to the per-shard loop.
-        let layout = self.shard_layout();
-        let offsets = layout.group_offsets();
-        let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
-        let x = grouped_input(layout, &gathered)?;
-        let shards = &self.shards;
-        let threads = tensor::par::num_threads();
-        let (y_rows, compute) = match grouped::forward_ffn(shards, &x, &offsets, threads)? {
-            Some((y, st)) => (y, DistCompute::Grouped(st)),
-            None => {
-                let results = for_each_expert(self.experts_per_ep, threads, |el| {
-                    let xe = x.slice_rows(offsets[el], offsets[el + 1])?;
-                    shards[el].forward(&xe)
-                })?;
-                let mut out = Tensor::zeros(x.dims());
-                let mut states = Vec::with_capacity(self.experts_per_ep);
-                for (el, (y, st)) in results.into_iter().enumerate() {
-                    out.data_mut()[offsets[el] * m..offsets[el + 1] * m].copy_from_slice(y.data());
-                    states.push(st);
+        let ctx = DispatchCtx::flat(&self.ep_group);
+        let mut a2a = |data: &[f32]| -> Result<Vec<f32>> {
+            let policy = self.fault_policy;
+            match a2a_with_policy(self.dispatcher.as_ref(), policy, self.rank, data, &ctx)? {
+                Some(out) => Ok(out),
+                None => {
+                    if !std::mem::replace(&mut degraded, true) {
+                        record_drop(&mut self.dropped_tokens, self.hooks.as_mut(), assigned);
+                    }
+                    Ok(vec![0.0f32; data.len()])
                 }
-                (out, DistCompute::PerExpert(states))
             }
         };
-        let mut shard_out = vec![0.0f32; gathered.len()];
-        for el in 0..self.experts_per_ep {
-            scatter_expert_rows(
-                layout,
-                &mut shard_out,
-                el,
-                &y_rows.data()[offsets[el] * m..offsets[el + 1] * m],
-            );
-        }
+
+        let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
+        let gathered = exchange_in(&self.esp_group, &send, &mut a2a)?;
+        drop(dispatch_span);
+
+        let threads = tensor::par::num_threads();
+        let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
+        let (shard_out, compute) = expert_rows(layout, &gathered, |x, offsets| {
+            grouped::forward_grouped(&self.shards, x, offsets, threads)
+        })?;
         drop(compute_span);
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
-        // ESP-ReduceScatter: sum shard partials, return our token slice.
-        let reduced = self.esp_group.reduce_scatter(&shard_out)?;
-
-        // AlltoAll combine over the EP group (the transpose is its own
-        // inverse), degrading like the dispatch leg.
-        let combine = {
-            let ctx = DispatchCtx::flat(&self.ep_group);
-            a2a_with_policy(
-                self.dispatcher.as_ref(),
-                self.fault_policy,
-                self.rank,
-                &reduced,
-                &ctx,
-            )?
-        };
-        let combined = match combine {
-            Some(out) => out,
-            None => {
-                if !degraded {
-                    self.record_drop(routing.assignments().len());
-                }
-                vec![0.0f32; reduced.len()]
-            }
-        };
-        let combined = if is_block {
-            combined
-        } else {
-            unpermute_expert_blocks(
-                &combined,
-                block_elems,
-                &slot_layout,
-                self.config.num_experts,
-            )
-        };
-        let expert_out = Tensor::from_vec(combined, &[self.config.num_experts * t, m])?;
-
+        let combined = exchange_out(&self.esp_group, &shard_out, &mut a2a)?;
+        let combined = from_slots(&self.expert_map, layout, combined);
+        let expert_out =
+            Tensor::from_vec(combined, &[self.config.num_experts * layout.t, layout.m])?;
         let output = self.order.inverse(&expert_out, &routing)?;
         drop(combine_span);
         self.state = Some(DistState {
             routing,
             compute,
-            gathered_rows,
+            gathered_rows: gathered.len() / layout.m,
         });
         Ok(output)
     }
@@ -645,89 +621,27 @@ impl DistMoeLayer {
         let mut bwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_BACKWARD);
         bwd_span.attr("rank", self.rank);
         let state = self.state.as_ref().ok_or(MoeError::NoForwardState)?;
-        let m = self.config.embed_dim;
-        let routing = &state.routing;
-
-        // i-order adjoint: scatter weighted grads into dispatch layout,
-        // then into map layout (the adjoint of the forward's inverse
-        // permutation is the forward permutation).
-        let grad_expert_out = combine_backward(grad_output, routing)?;
-        let slot_layout = self.expert_map.slot_layout();
-        let block_elems = self.config.capacity() * m;
-        let is_block = self.expert_map.is_block();
-        let permuted;
-        let grad_send: &[f32] = if is_block {
-            grad_expert_out.data()
-        } else {
-            permuted = permute_expert_blocks(grad_expert_out.data(), block_elems, &slot_layout);
-            &permuted
-        };
-
-        // combine-AlltoAll adjoint: AlltoAll back to expert hosts.
-        let ctx = DispatchCtx::flat(&self.ep_group);
-        let grad_reduced = self.dispatcher.all_to_all(grad_send, &ctx)?;
-
-        // ReduceScatter adjoint: AllGather the gradient slices.
-        let grad_shard_out = self.esp_group.all_gather(&grad_reduced)?;
-        debug_assert_eq!(grad_shard_out.len() / m, state.gathered_rows);
-
-        // Expert shard backward: one grouped pass mirroring the forward
-        // (or the per-shard loop when the forward fell back to it).
         let layout = self.shard_layout();
-        let offsets = layout.group_offsets();
-        let gy = grouped_input(layout, &grad_shard_out)?;
-        let shards = &self.shards;
+        let ctx = DispatchCtx::flat(&self.ep_group);
+        let mut a2a = |data: &[f32]| self.dispatcher.all_to_all(data, &ctx);
+
+        // i-order adjoint: scatter weighted grads into dispatch layout
+        // (the adjoint of the forward's inverse permutation is the
+        // forward permutation), then into slot layout.
+        let grad_expert_out = combine_backward(grad_output, &state.routing)?;
+        let grad_send = to_slots(&self.expert_map, layout, grad_expert_out.data());
+        let grad_shard_out = exchange_in(&self.esp_group, &grad_send, &mut a2a)?;
+        debug_assert_eq!(grad_shard_out.len() / layout.m, state.gathered_rows);
         let threads = tensor::par::num_threads();
-        let (grad_rows, shard_grads) = match &state.compute {
-            DistCompute::Grouped(st) => grouped::backward_ffn(shards, &gy, st, &offsets, threads)?,
-            DistCompute::PerExpert(states) => {
-                let results = for_each_expert(self.experts_per_ep, threads, |el| {
-                    let ge = gy.slice_rows(offsets[el], offsets[el + 1])?;
-                    shards[el].backward(&ge, &states[el])
-                })?;
-                let mut grad_x = Tensor::zeros(gy.dims());
-                let mut grads = Vec::with_capacity(self.experts_per_ep);
-                for (el, g) in results.into_iter().enumerate() {
-                    grad_x.data_mut()[offsets[el] * m..offsets[el + 1] * m]
-                        .copy_from_slice(g.input.data());
-                    grads.push(g.weights);
-                }
-                (grad_x, grads)
-            }
-        };
-        let mut grad_gathered = vec![0.0f32; grad_shard_out.len()];
-        for el in 0..self.experts_per_ep {
-            scatter_expert_rows(
-                layout,
-                &mut grad_gathered,
-                el,
-                &grad_rows.data()[offsets[el] * m..offsets[el + 1] * m],
-            );
-        }
-
-        // AllGather adjoint: ReduceScatter the input grads back to the
-        // rank that contributed each token slice.
-        let grad_received = self.esp_group.reduce_scatter(&grad_gathered)?;
-
-        // dispatch-AlltoAll adjoint: AlltoAll back to token sources,
-        // arriving in map layout; un-permute into expert order.
-        let grad_buffer_raw = self.dispatcher.all_to_all(&grad_received, &ctx)?;
-        let grad_buffer_raw = if is_block {
-            grad_buffer_raw
-        } else {
-            unpermute_expert_blocks(
-                &grad_buffer_raw,
-                block_elems,
-                &slot_layout,
-                self.config.num_experts,
-            )
-        };
+        let (grad_gathered, shard_grads) = expert_rows(layout, &grad_shard_out, |gy, offsets| {
+            grouped::backward_ffn(&self.shards, gy, &state.compute, offsets, threads)
+        })?;
+        let grad_received = exchange_out(&self.esp_group, &grad_gathered, &mut a2a)?;
         let grad_buffer = Tensor::from_vec(
-            grad_buffer_raw,
-            &[self.config.num_experts * self.config.capacity(), m],
+            from_slots(&self.expert_map, layout, grad_received),
+            &[self.config.num_experts * layout.t, layout.m],
         )?;
-
-        let grad_input = order_backward(&grad_buffer, routing)?;
+        let grad_input = order_backward(&grad_buffer, &state.routing)?;
         Ok(DistMoeGrads {
             input: grad_input,
             shards: shard_grads,
@@ -757,6 +671,35 @@ impl DistMoeLayer {
         &self.expert_map
     }
 
+    /// Shapes of one expert's weights and their total element count.
+    /// All experts share one architecture, so any local expert serves
+    /// and the flat wire format is uniform per expert.
+    fn weight_shapes(&self) -> (Vec<Vec<usize>>, usize) {
+        let shapes: Vec<Vec<usize>> = self.shards[0]
+            .weights()
+            .iter()
+            .map(|w| w.dims().to_vec())
+            .collect();
+        let total = shapes.iter().map(|d| d.iter().product::<usize>()).sum();
+        (shapes, total)
+    }
+
+    /// This rank's ESP shard of the full expert holding `weights`. A
+    /// scratch build supplies the module structure; its random weights
+    /// are overwritten by the verbatim import (only the shapes matter,
+    /// so the rng is a throwaway), and the shard stays bit-identical.
+    fn rebuild_shard(&self, weights: &[Tensor]) -> Result<Box<dyn Expert>> {
+        let mut scratch = TensorRng::seed_from(0);
+        let mut full = build_expert(
+            self.config.ffn,
+            self.config.embed_dim,
+            self.config.hidden_dim,
+            &mut scratch,
+        );
+        full.import_weights(weights)?;
+        full.shard(self.esp_group.group_index(), self.esp_group.size())
+    }
+
     /// Rebuilds this rank's gate and expert shards from a *full*
     /// checkpoint (all `E` experts), keeping only the experts the
     /// current [`ExpertMap`] places here. Forward state is discarded.
@@ -779,25 +722,12 @@ impl DistMoeLayer {
             });
         }
         self.gate.import_weights(&checkpoint.gate)?;
-        let my_pos = self.ep_group.group_index();
-        let my_shard = self.esp_group.group_index();
-        let n_esp = self.esp_group.size();
-        let mut shards = Vec::with_capacity(self.experts_per_ep);
-        for &e in self.expert_map.experts_on(my_pos) {
-            // The build draws random weights that import_weights then
-            // overwrites; only the shapes matter, so the rng is a
-            // throwaway.
-            let mut scratch = TensorRng::seed_from(0);
-            let mut full = build_expert(
-                self.config.ffn,
-                self.config.embed_dim,
-                self.config.hidden_dim,
-                &mut scratch,
-            );
-            full.import_weights(&checkpoint.experts[e])?;
-            shards.push(full.shard(my_shard, n_esp)?);
-        }
-        self.shards = shards;
+        self.shards = self
+            .expert_map
+            .experts_on(self.ep_group.group_index())
+            .iter()
+            .map(|&e| self.rebuild_shard(&checkpoint.experts[e]))
+            .collect::<Result<_>>()?;
         self.state = None;
         Ok(())
     }
@@ -914,14 +844,7 @@ impl DistMoeLayer {
         // exchange: every rank shares the same collective outcome, so
         // a transfer fault cannot leave participants and bystanders
         // disagreeing about whether the new placement was installed.
-        // All experts share one architecture, so every rank sizes the
-        // wire buffer from any local expert.
-        let shapes: Vec<Vec<usize>> = self.shards[0]
-            .weights()
-            .iter()
-            .map(|w| w.dims().to_vec())
-            .collect();
-        let total: usize = shapes.iter().map(|d| d.iter().product::<usize>()).sum();
+        let (shapes, total) = self.weight_shapes();
         let mut flat;
         let mut source_local = None;
         if self.rank == from_rank {
@@ -938,9 +861,7 @@ impl DistMoeLayer {
             };
             source_local = Some(local);
             flat = Vec::with_capacity(total);
-            for w in self.shards[local].weights() {
-                flat.extend_from_slice(w.data());
-            }
+            flatten_weights(self.shards[local].as_ref(), &mut flat);
         } else {
             flat = vec![0.0f32; total];
         }
@@ -950,28 +871,10 @@ impl DistMoeLayer {
             self.shards.remove(local);
         }
         if self.rank == to_rank {
-            // A scratch build supplies the module structure; its random
-            // weights are overwritten by the verbatim import, so the
-            // transferred expert stays bit-identical.
-            let mut scratch = TensorRng::seed_from(0);
-            let mut full = build_expert(
-                self.config.ffn,
-                self.config.embed_dim,
-                self.config.hidden_dim,
-                &mut scratch,
-            );
-            let mut weights = Vec::with_capacity(shapes.len());
-            let mut off = 0usize;
-            for dims in &shapes {
-                let n: usize = dims.iter().product();
-                weights.push(Tensor::from_vec(flat[off..off + n].to_vec(), dims)?);
-                off += n;
-            }
-            full.import_weights(&weights)?;
             // `migrated` appends the expert to the destination's list,
             // so the new shard goes to the end of ours.
-            self.shards
-                .push(full.shard(self.esp_group.group_index(), 1)?);
+            let shard = self.rebuild_shard(&unflatten_weights(&flat, &shapes)?)?;
+            self.shards.push(shard);
             obs::counter_add(obs::names::MOE_MIGRATIONS, 1);
         }
         self.expert_map = new_map;
@@ -1005,14 +908,7 @@ impl DistMoeLayer {
                 ),
             });
         }
-        // All experts share one architecture, so shapes come from any
-        // local expert and the flat wire format is uniform per expert.
-        let shapes: Vec<Vec<usize>> = self.shards[0]
-            .weights()
-            .iter()
-            .map(|w| w.dims().to_vec())
-            .collect();
-        let per_expert: usize = shapes.iter().map(|d| d.iter().product::<usize>()).sum();
+        let (shapes, per_expert) = self.weight_shapes();
         // The AllGather needs equal contributions, so under a
         // non-uniform placement every rank pads its flat weights to the
         // placement-wide slot count (the same padding the dispatch
@@ -1020,9 +916,7 @@ impl DistMoeLayer {
         let slots = self.expert_map.slots_per_position();
         let mut flat = Vec::with_capacity(slots * per_expert);
         for shard in &self.shards {
-            for w in shard.weights() {
-                flat.extend_from_slice(w.data());
-            }
+            flatten_weights(shard.as_ref(), &mut flat);
         }
         flat.resize(slots * per_expert, 0.0);
         let gathered = self.ep_group.all_gather(&flat)?;
@@ -1032,14 +926,7 @@ impl DistMoeLayer {
         for p in 0..n_ep {
             let chunk = &gathered[p * flat.len()..(p + 1) * flat.len()];
             for (el, &e) in self.expert_map.experts_on(p).iter().enumerate() {
-                let mut off = el * per_expert;
-                let mut weights = Vec::with_capacity(shapes.len());
-                for dims in &shapes {
-                    let n: usize = dims.iter().product();
-                    weights.push(Tensor::from_vec(chunk[off..off + n].to_vec(), dims)?);
-                    off += n;
-                }
-                experts[e] = weights;
+                experts[e] = unflatten_weights(&chunk[el * per_expert..], &shapes)?;
             }
         }
         Ok(LayerCheckpoint {

@@ -24,9 +24,6 @@ pub struct ExpertState {
 /// grouped-GEMM dispatch ([`crate::grouped`]) can batch the matching
 /// projection of every expert into one [`Tensor::matmul_grouped`] call
 /// instead of looping expert by expert.
-///
-/// Experts whose compute is not one of these two shapes return `None`
-/// from [`Expert::ffn_weights`] and keep the per-expert fallback path.
 #[derive(Debug, Clone, Copy)]
 pub enum FfnWeights<'a> {
     /// `y = GeLU(x·w1)·w2`.
@@ -109,18 +106,14 @@ pub trait Expert: std::fmt::Debug + Send + Sync {
     /// Forward FLOPs per input row.
     fn flops_per_row(&self) -> f64;
 
-    /// The expert's weights as a grouped-GEMM-able FFN view, when its
-    /// forward pass is exactly one of the [`FfnWeights`] shapes.
+    /// The expert's weights as a grouped-GEMM-able FFN view.
     ///
-    /// The contract: when this returns `Some`, running the matching
-    /// [`crate::grouped`] formula on those weights must produce the same
-    /// numbers as [`Expert::forward`] (the grouped kernel computes each
-    /// row with the same ascending-`k` GEMM, so "same" is bit-identical
-    /// per row). Custom experts keep the default `None` and are computed
-    /// through the per-expert loop.
-    fn ffn_weights(&self) -> Option<FfnWeights<'_>> {
-        None
-    }
+    /// The contract: running the matching [`crate::grouped`] formula on
+    /// those weights must produce the same numbers as
+    /// [`Expert::forward`] (the grouped kernel computes each row with the
+    /// same ascending-`k` GEMM, so "same" is bit-identical per row). The
+    /// layers compute every expert through that grouped path.
+    fn ffn_weights(&self) -> FfnWeights<'_>;
 
     /// Returns the ESP shard `shard` of `num_shards`: a smaller expert
     /// whose outputs are partial sums of the full expert's.
@@ -129,44 +122,6 @@ pub trait Expert: std::fmt::Debug + Send + Sync {
     ///
     /// Returns an error when the hidden size does not divide evenly.
     fn shard(&self, shard: usize, num_shards: usize) -> Result<Box<dyn Expert>>;
-}
-
-/// Runs `op(e)` for every expert index on up to `threads` scoped
-/// workers and returns the results in index order, failing fast on the
-/// first error (by index).
-///
-/// This is the per-expert fan-out both the single-process layer and the
-/// distributed layer use for forward and backward: expert FFNs are
-/// independent GEMM chains, so they parallelise without any locking.
-/// With `threads <= 1` (or a single expert) everything runs on the
-/// calling thread, and because each expert's arithmetic is untouched by
-/// the split, results are identical for every worker count.
-pub fn for_each_expert<T, F>(count: usize, threads: usize, op: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let threads = threads.max(1).min(count.max(1));
-    if threads == 1 {
-        return (0..count).map(op).collect();
-    }
-    let mut slots: Vec<Option<Result<T>>> = Vec::new();
-    slots.resize_with(count, || None);
-    let band = count.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (index, chunk) in slots.chunks_mut(band).enumerate() {
-            let op = &op;
-            scope.spawn(move || {
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(op(index * band + offset));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every band worker fills its slots"))
-        .collect()
 }
 
 fn shard_range(hidden: usize, shard: usize, num_shards: usize) -> Result<(usize, usize)> {
@@ -276,11 +231,11 @@ impl Expert for GptFfn {
         2.0 * (m * h + h * m) as f64
     }
 
-    fn ffn_weights(&self) -> Option<FfnWeights<'_>> {
-        Some(FfnWeights::Gpt {
+    fn ffn_weights(&self) -> FfnWeights<'_> {
+        FfnWeights::Gpt {
             w1: &self.w1,
             w2: &self.w2,
-        })
+        }
     }
 
     fn shard(&self, shard: usize, num_shards: usize) -> Result<Box<dyn Expert>> {
@@ -393,12 +348,12 @@ impl Expert for MixtralFfn {
         2.0 * (3 * m * h) as f64
     }
 
-    fn ffn_weights(&self) -> Option<FfnWeights<'_>> {
-        Some(FfnWeights::Mixtral {
+    fn ffn_weights(&self) -> FfnWeights<'_> {
+        FfnWeights::Mixtral {
             w1: &self.w1,
             w3: &self.w3,
             w2: &self.w2,
-        })
+        }
     }
 
     fn shard(&self, shard: usize, num_shards: usize) -> Result<Box<dyn Expert>> {
@@ -549,37 +504,24 @@ mod tests {
     }
 
     #[test]
-    fn for_each_expert_preserves_order_and_errors() {
-        for threads in [1usize, 2, 3, 8] {
-            let out = for_each_expert(5, threads, |e| Ok(e * 10)).unwrap();
-            assert_eq!(out, vec![0, 10, 20, 30, 40], "threads={threads}");
-            let err = for_each_expert(5, threads, |e| {
-                if e >= 3 {
-                    Err(MoeError::NoForwardState)
-                } else {
-                    Ok(e)
-                }
-            });
-            assert!(err.is_err(), "threads={threads}");
-            assert_eq!(for_each_expert(0, threads, |_| Ok(0)).unwrap(), vec![]);
-        }
-    }
-
-    #[test]
     fn parallel_expert_forward_matches_serial() {
         let mut rng = TensorRng::seed_from(11);
+        // 96 rows of 64 through a 64 → 128 FFN clear the GEMM's parallel
+        // threshold, so the thread fan-out really runs.
         let experts: Vec<Box<dyn Expert>> = (0..4)
-            .map(|_| Box::new(GptFfn::new(6, 12, &mut rng)) as Box<dyn Expert>)
+            .map(|_| Box::new(GptFfn::new(64, 128, &mut rng)) as Box<dyn Expert>)
             .collect();
-        let x = rng.normal(&[8, 6], 0.0, 1.0);
-        let serial =
-            for_each_expert(experts.len(), 1, |e| experts[e].forward(&x).map(|(y, _)| y)).unwrap();
+        let x = rng.normal(&[96, 64], 0.0, 1.0);
+        let offsets = [0, 10, 50, 50, 96];
+        let forward = |threads| {
+            crate::grouped::forward_ffn(&experts, &x, &offsets, threads)
+                .unwrap()
+                .expect("homogeneous experts are groupable")
+                .0
+        };
+        let serial = forward(1);
         for threads in [2, 4, 9] {
-            let parallel = for_each_expert(experts.len(), threads, |e| {
-                experts[e].forward(&x).map(|(y, _)| y)
-            })
-            .unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(forward(threads), serial, "threads={threads}");
         }
     }
 

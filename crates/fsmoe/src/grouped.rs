@@ -200,14 +200,10 @@ enum GroupedWeights<'a> {
     },
 }
 
-/// Collects the experts' FFN views when every expert exposes one and
-/// all are the same architecture; `None` sends the caller to the
-/// per-expert fallback loop.
+/// Collects the experts' FFN views when all are the same architecture;
+/// `None` for a mixed (or empty) set.
 fn collect_views(experts: &[Box<dyn Expert>]) -> Option<GroupedWeights<'_>> {
-    let mut views = Vec::with_capacity(experts.len());
-    for e in experts {
-        views.push(e.ffn_weights()?);
-    }
+    let views: Vec<FfnWeights<'_>> = experts.iter().map(|e| e.ffn_weights()).collect();
     match views.first()? {
         FfnWeights::Gpt { .. } => {
             let mut w1 = Vec::with_capacity(views.len());
@@ -243,10 +239,35 @@ fn collect_views(experts: &[Box<dyn Expert>]) -> Option<GroupedWeights<'_>> {
     }
 }
 
+fn not_groupable() -> MoeError {
+    MoeError::BadConfig {
+        field: "experts",
+        reason: "the expert set mixes FFN architectures".into(),
+    }
+}
+
+/// Rejects an expert set [`forward_ffn`] cannot run as one grouped pass
+/// (experts that mix FFN architectures). `MoeLayer::with_modules` calls
+/// this; `DistMoeLayer` builds every shard from one `FfnKind`.
+pub(crate) fn check_groupable(experts: &[Box<dyn Expert>]) -> Result<()> {
+    collect_views(experts).map(drop).ok_or_else(not_groupable)
+}
+
+/// [`forward_ffn`] for the layers, whose expert sets are groupable by
+/// construction: a set mixed since (through `MoeLayer::experts_mut`) is
+/// a [`MoeError::BadConfig`].
+pub(crate) fn forward_grouped(
+    experts: &[Box<dyn Expert>],
+    x: &Tensor,
+    offsets: &[usize],
+    threads: usize,
+) -> Result<(Tensor, GroupedState)> {
+    forward_ffn(experts, x, offsets, threads)?.ok_or_else(not_groupable)
+}
+
 /// Runs the grouped FFN forward over the gathered rows `x` (groups per
 /// [`TokenGroups::offsets`]-style `offsets`). Returns `Ok(None)` when
-/// the expert set is not groupable (heterogeneous or custom experts) so
-/// the caller can fall back to the per-expert loop.
+/// the expert set mixes FFN architectures.
 ///
 /// # Errors
 ///
@@ -477,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_experts_fall_back() {
+    fn mixed_architectures_are_not_groupable() {
         let mut rng = TensorRng::seed_from(9);
         let experts: Vec<Box<dyn Expert>> = vec![
             Box::new(GptFfn::new(4, 8, &mut rng)),

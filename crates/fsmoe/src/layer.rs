@@ -21,7 +21,7 @@
 use tensor::{Tensor, TensorRng};
 
 use crate::config::MoeConfig;
-use crate::expert::{build_expert, for_each_expert, Expert, ExpertState};
+use crate::expert::{build_expert, Expert};
 use crate::gate::{ExpertChoiceGate, GShardGate, Gate, SigmoidGate, SoftMoeGate, XMoeGate};
 use crate::grouped::{self, GroupedState, TokenGroups};
 use crate::hooks::{MoeHooks, NoopHooks};
@@ -38,22 +38,11 @@ pub struct MoeGrads {
     pub experts: Vec<Vec<Tensor>>,
 }
 
-/// How the expert compute of a forward pass was executed (the backward
-/// pass must mirror it).
-#[derive(Debug)]
-enum ComputeState {
-    /// One grouped GEMM pass over all experts ([`crate::grouped`]).
-    Grouped(GroupedState),
-    /// Per-expert loop over variable-size gathered slices (custom or
-    /// heterogeneous experts).
-    PerExpert(Vec<ExpertState>),
-}
-
 #[derive(Debug)]
 struct ForwardState {
     routing: Routing,
     groups: TokenGroups,
-    compute: ComputeState,
+    compute: GroupedState,
 }
 
 /// A Mixture-of-Experts layer with swappable sub-modules.
@@ -90,7 +79,8 @@ impl MoeLayer {
     /// # Errors
     ///
     /// Returns [`MoeError::BadConfig`] when the module set disagrees with
-    /// the config (expert count, gate width).
+    /// the config (expert count, gate width) or the experts mix FFN
+    /// architectures.
     pub fn with_modules(
         config: &MoeConfig,
         gate: Box<dyn Gate>,
@@ -118,6 +108,7 @@ impl MoeLayer {
                 ),
             });
         }
+        grouped::check_groupable(&experts)?;
         Ok(MoeLayer {
             config: config.clone(),
             gate,
@@ -289,32 +280,13 @@ impl MoeLayer {
         self.hooks.after_dispatch(&mut buffer, &routing)?;
         drop(dispatch_span);
 
-        let m = self.config.embed_dim;
-        let threads = self.compute_threads();
-        let experts = &self.experts;
         let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
-        let (mut expert_out, compute) =
-            match grouped::forward_ffn(experts, &buffer, groups.offsets(), threads)? {
-                Some((y, st)) => (y, ComputeState::Grouped(st)),
-                None => {
-                    // custom/heterogeneous experts: per-expert loop over
-                    // the same gathered slices, fanned out over scoped
-                    // threads
-                    let offsets = groups.offsets();
-                    let results = for_each_expert(experts.len(), threads, |e| {
-                        let slice = buffer.slice_rows(offsets[e], offsets[e + 1])?;
-                        experts[e].forward(&slice)
-                    })?;
-                    let mut out = Tensor::zeros(&[groups.num_rows(), m]);
-                    let mut states = Vec::with_capacity(experts.len());
-                    for (e, (y, st)) in results.into_iter().enumerate() {
-                        out.data_mut()[offsets[e] * m..offsets[e + 1] * m]
-                            .copy_from_slice(y.data());
-                        states.push(st);
-                    }
-                    (out, ComputeState::PerExpert(states))
-                }
-            };
+        let (mut expert_out, compute) = grouped::forward_grouped(
+            &self.experts,
+            &buffer,
+            groups.offsets(),
+            self.compute_threads(),
+        )?;
         drop(compute_span);
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
@@ -345,29 +317,13 @@ impl MoeLayer {
         // adjoint of the combine scatter: weighted gather of output grads
         let grad_rows = groups.gather_weighted(grad_output)?;
 
-        let m = self.config.embed_dim;
-        let threads = self.compute_threads();
-        let experts = &self.experts;
-        let (grad_dispatch, expert_grads) = match &state.compute {
-            ComputeState::Grouped(st) => {
-                grouped::backward_ffn(experts, &grad_rows, st, groups.offsets(), threads)?
-            }
-            ComputeState::PerExpert(states) => {
-                let offsets = groups.offsets();
-                let results = for_each_expert(experts.len(), threads, |e| {
-                    let gslice = grad_rows.slice_rows(offsets[e], offsets[e + 1])?;
-                    experts[e].backward(&gslice, &states[e])
-                })?;
-                let mut grad_x = Tensor::zeros(&[groups.num_rows(), m]);
-                let mut grads = Vec::with_capacity(experts.len());
-                for (e, g) in results.into_iter().enumerate() {
-                    grad_x.data_mut()[offsets[e] * m..offsets[e + 1] * m]
-                        .copy_from_slice(g.input.data());
-                    grads.push(g.weights);
-                }
-                (grad_x, grads)
-            }
-        };
+        let (grad_dispatch, expert_grads) = grouped::backward_ffn(
+            &self.experts,
+            &grad_rows,
+            &state.compute,
+            groups.offsets(),
+            self.compute_threads(),
+        )?;
 
         // adjoint of the gather: unweighted scatter-add back to tokens
         let grad_input = groups.scatter_add(&grad_dispatch)?;
@@ -598,6 +554,40 @@ mod tests {
             Box::new(NoopHooks),
         )
         .is_err());
+    }
+
+    #[test]
+    fn mixed_architecture_experts_are_rejected() {
+        let config = small_config();
+        let mut rng = TensorRng::seed_from(10);
+        let gate = GShardGate::new(config.embed_dim, config.num_experts, config.top_k, &mut rng);
+        let experts = (0..config.num_experts)
+            .map(|e| {
+                let kind = if e == 0 {
+                    FfnKind::Mixtral
+                } else {
+                    FfnKind::Gpt
+                };
+                build_expert(kind, config.embed_dim, config.hidden_dim, &mut rng)
+            })
+            .collect();
+        let built = MoeLayer::with_modules(
+            &config,
+            Box::new(gate),
+            Box::new(TutelOrdering::new()),
+            experts,
+            Box::new(NoopHooks),
+        );
+        assert!(
+            matches!(
+                built,
+                Err(MoeError::BadConfig {
+                    field: "experts",
+                    ..
+                })
+            ),
+            "{built:?}"
+        );
     }
 
     #[test]

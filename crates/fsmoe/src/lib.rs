@@ -14,8 +14,10 @@
 //!   transformation from `(B·L, M)` to `(E, T, M)` and back, in both the
 //!   GShard einsum style and the Tutel sparse style;
 //! * [`Dispatcher`](dispatch::Dispatcher) / combine — the AlltoAll
-//!   collectives of expert parallelism, with NCCL-direct and hierarchical
-//!   (1DH/2DH) algorithms;
+//!   collectives of expert parallelism, run as the NCCL-direct algorithm
+//!   (the hierarchical 1DH/2DH algorithms are priced in `scheduler` and
+//!   `simnet` but not run in-process, because one process has no
+//!   intra-/inter-node link asymmetry);
 //! * [`Expert`](expert::Expert) — the feed-forward computation, GPT-2
 //!   style and Mixtral (SwiGLU) style, with exact ESP sharding;
 //! * [`MoeHooks`](hooks::MoeHooks) — the six non-invasive extension

@@ -7,7 +7,6 @@
 
 use collectives::{run_ranks, HybridTopology, ParallelDims};
 use fsmoe::config::{FfnKind, MoeConfig};
-use fsmoe::dispatch::{Hier1DH, Hier2DH};
 use fsmoe::dist::DistMoeLayer;
 use fsmoe::layer::MoeLayer;
 use tensor::{Tensor, TensorRng};
@@ -166,32 +165,6 @@ fn distributed_weight_grads_match_accumulated_reference() {
             got_w1.max_abs_diff(&want_w1).unwrap()
         );
         assert!(got_w2.allclose(&want_w2, 1e-3), "rank {rank} w2 grad");
-    }
-}
-
-#[test]
-fn hierarchical_dispatchers_match_direct_in_layer() {
-    let cfg = config(FfnKind::Gpt);
-
-    for which in ["1dh", "2dh"] {
-        let cfg2 = cfg.clone();
-        let results = run_ranks(4, move |comm| {
-            let topo = fig2_topology();
-            let mut layer = DistMoeLayer::gshard(&cfg2, &comm, &topo, SEED).unwrap();
-            match which {
-                "1dh" => layer.set_dispatcher(Box::new(Hier1DH)),
-                _ => layer.set_dispatcher(Box::new(Hier2DH)),
-            }
-            let x = input_block(&cfg2, comm.rank());
-            let mut rng = TensorRng::seed_from(0);
-            layer.forward(&x, &mut rng)
-        });
-        // the EP groups here span nodes with one GPU per node, so the
-        // hierarchical algorithms lack intra sub-groups in a flat ctx and
-        // must report an error rather than corrupt data
-        for r in results {
-            assert!(r.is_err(), "{which}: flat ctx must be rejected");
-        }
     }
 }
 

@@ -555,6 +555,9 @@ mod tests {
     /// cannot race another test's expectations).
     #[test]
     fn disabled_recorder_records_nothing() {
+        // The span also reaches the registry; holding the session keeps
+        // it out of any other test's session.
+        let _session = crate::session();
         set_enabled(false);
         annotate("flight.test.disabled");
         {
@@ -571,6 +574,7 @@ mod tests {
 
     #[test]
     fn spans_counters_and_marks_land_in_the_ring() {
+        let _session = crate::session();
         let before = events_recorded();
         {
             let _s = crate::span("flighttest", "ring.span");

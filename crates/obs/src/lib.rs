@@ -384,11 +384,11 @@ fn record_span(active: &ActiveSpan) {
     let tid = current_tid();
     let end = Instant::now();
     let mut guard = inner();
-    let start_us = active
-        .start
-        .saturating_duration_since(guard.epoch)
-        .as_micros() as u64;
-    let dur_us = end.saturating_duration_since(active.start).as_micros() as u64;
+    // Both ends are truncated against the session epoch, so a span
+    // nested in another in time stays nested in whole µs.
+    let since_epoch = |t: Instant| t.saturating_duration_since(guard.epoch).as_micros() as u64;
+    let start_us = since_epoch(active.start);
+    let dur_us = since_epoch(end).saturating_sub(start_us);
     guard.spans.push(SpanRecord {
         cat: active.cat,
         name: active.name,

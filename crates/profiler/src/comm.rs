@@ -158,6 +158,7 @@ mod tests {
 
     #[test]
     fn payloads_round_up_to_world_multiples() {
+        let _timing = crate::timing_guard();
         let samples = measure_collective(CommOp::AllToAll, 3, &[7, 9], 1);
         assert_eq!(samples[0].elements, 9);
         assert_eq!(samples[1].elements, 9);
@@ -167,6 +168,7 @@ mod tests {
 
     #[test]
     fn real_collective_times_grow_with_payload() {
+        let _timing = crate::timing_guard();
         let samples = measure_collective(CommOp::AllToAll, 2, &[1 << 10, 1 << 16, 1 << 20], 3);
         assert_eq!(samples.len(), 3);
         assert!(
@@ -177,6 +179,7 @@ mod tests {
 
     #[test]
     fn linear_model_fits_the_real_wire() {
+        let _timing = crate::timing_guard();
         // Per-rank payloads from 256 KiB to 4 MiB: large enough that the
         // copy cost dominates thread-scheduler noise.
         let sizes: Vec<usize> = (1..=8).map(|i| i << 16).collect();
@@ -195,6 +198,7 @@ mod tests {
 
     #[test]
     fn every_op_variant_measures() {
+        let _timing = crate::timing_guard();
         for op in [
             CommOp::AllToAll,
             CommOp::AllReduce,

@@ -94,6 +94,7 @@ mod tests {
 
     #[test]
     fn real_gemm_times_grow_with_size() {
+        let _timing = crate::timing_guard();
         let samples = measure_gemm(&[16, 64, 128], 3);
         assert_eq!(samples.len(), 3);
         assert!(samples[2].millis > samples[0].millis);
@@ -102,6 +103,7 @@ mod tests {
 
     #[test]
     fn linear_model_fits_real_gemm_reasonably() {
+        let _timing = crate::timing_guard();
         // cubic-in-dim = linear-in-FLOPs; r² should be high even on a
         // noisy shared machine
         let fitted = profile_cpu_gemm(&[32, 48, 64, 96, 128, 160], 3).unwrap();
@@ -121,6 +123,7 @@ mod tests {
 
     #[test]
     fn thread_pinned_profiling_measures_positive_times() {
+        let _timing = crate::timing_guard();
         for threads in [1usize, 2] {
             let samples = measure_gemm_with_threads(&[16, 64], 2, threads);
             assert_eq!(samples.len(), 2);

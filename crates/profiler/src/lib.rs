@@ -48,6 +48,15 @@ pub fn fit_cost_model(samples: &[(f64, f64)]) -> numopt::Result<FittedModel> {
     })
 }
 
+/// Serialises this crate's wall-clock tests: a test that fits a model
+/// to measured times must not share the cores with another test's
+/// sweep, or the sibling's load lands in its samples.
+#[cfg(test)]
+pub(crate) fn timing_guard() -> parking_lot::MutexGuard<'static, ()> {
+    static LOCK: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sync::OnceLock::new();
+    LOCK.get_or_init(|| parking_lot::Mutex::new(())).lock()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 /// two halves of a computation disagree about the worker count. Code
 /// that needs a specific count at a specific call site must pass it
 /// explicitly via [`Tensor::matmul_with_threads`](crate::Tensor) /
-/// `for_each_expert(_, threads, _)`-style APIs instead of mutating the
+/// `matmul_grouped(_, _, threads)`-style APIs instead of mutating the
 /// environment — which is exactly what the benchmarks do to sweep
 /// thread counts (relying on the env var once recorded
 /// `hardware_threads: 1` sweeps, measuring the latch rather than the
