@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings"
+# Catches doc links left dangling when a public item is deleted or
+# made private, and other rustdoc lints.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 # Hang watchdog: the fault-injection suites exercise deadline paths in the

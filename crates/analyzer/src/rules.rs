@@ -186,7 +186,7 @@ pub fn check_unwrap(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violation
 /// names included, not just counters. Names must come from
 /// `obs::names`, the single registry the dead-name check audits.
 /// Record fns one module deep (`obs::flight::annotate`) are matched
-/// via [`OBS_MODULE_RECORD_FNS`].
+/// via `OBS_MODULE_RECORD_FNS`.
 pub fn check_obs_names(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violation>) {
     let mut i = 0usize;
     while i + 4 < toks.len() {

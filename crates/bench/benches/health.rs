@@ -76,7 +76,6 @@ fn route_rng_for(old_rank: usize) -> TensorRng {
 fn policy() -> ElasticPolicy {
     ElasticPolicy {
         snapshot_interval: 100_000,
-        ..ElasticPolicy::default()
     }
 }
 

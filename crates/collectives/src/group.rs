@@ -693,7 +693,7 @@ impl GroupComm {
     ///
     /// # Errors
     ///
-    /// Returns deadline/fault errors; see [`GroupComm::run`] internals
+    /// Returns deadline/fault errors; see `GroupComm::run` internals
     /// ([`CommError::Timeout`], [`CommError::RankDown`],
     /// [`CommError::Poisoned`]).
     ///

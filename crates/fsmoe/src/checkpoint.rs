@@ -1,7 +1,7 @@
 //! Layer checkpointing: serialisable weight bundles.
 //!
 //! A [`LayerCheckpoint`] captures every trainable tensor of an
-//! [`MoeLayer`](crate::layer::MoeLayer) — gate projections and expert
+//! [`crate::layer::MoeLayer`] — gate projections and expert
 //! weights — as plain data with a JSON wire form, so training state
 //! survives process restarts (and, in the paper's setting,
 //! re-scheduling decisions: the checkpoint is schedule-independent

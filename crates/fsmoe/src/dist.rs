@@ -198,11 +198,11 @@ pub struct DistMoeLayer {
     gate: Box<dyn Gate>,
     order: Box<dyn OrderFn>,
     dispatcher: Box<dyn Dispatcher>,
-    /// ESP shards of this rank's local experts (`E / N_EP` of them).
+    /// ESP shards of the experts the map places at this rank's EP
+    /// position, in map order.
     shards: Vec<Box<dyn Expert>>,
     ep_group: GroupComm,
     esp_group: GroupComm,
-    experts_per_ep: usize,
     /// Which global expert lives at which EP position (block placement
     /// until a reshard installs something else).
     expert_map: ExpertMap,
@@ -445,14 +445,13 @@ impl DistMoeLayer {
         }
         let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
         let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
-        let experts_per_ep = config.num_experts / dims.ep;
         let expert_map = ExpertMap::block(config.num_experts, dims.ep)?;
 
         // Materialise the full expert set identically everywhere, then
         // keep our shards.
         let my_ep_pos = ep_group.group_index();
         let my_shard = esp_group.group_index();
-        let mut shards = Vec::with_capacity(experts_per_ep);
+        let mut shards = Vec::with_capacity(config.num_experts / dims.ep);
         for e in 0..config.num_experts {
             let full = build_expert(config.ffn, config.embed_dim, config.hidden_dim, rng);
             if expert_map.position_of(e) == my_ep_pos {
@@ -467,7 +466,6 @@ impl DistMoeLayer {
             shards,
             ep_group,
             esp_group,
-            experts_per_ep,
             expert_map,
             state: None,
             rank: comm.rank(),
@@ -520,7 +518,7 @@ impl DistMoeLayer {
             t: self.config.capacity(),
             sources: self.esp_group.size() * self.ep_group.size(),
             slots: self.expert_map.slots_per_position(),
-            local_experts: self.experts_per_ep,
+            local_experts: self.shards.len(),
         }
     }
 
@@ -611,7 +609,7 @@ impl DistMoeLayer {
     /// Unlike [`DistMoeLayer::forward`], backward does *not* degrade on
     /// collective failure: a half-exchanged gradient would silently skew
     /// the update, so faults propagate as errors and recovery is the
-    /// caller's job (checkpoint rollback, see `models::recovery`).
+    /// caller's job (snapshot rollback, see `models::elastic`).
     ///
     /// # Errors
     ///
@@ -684,11 +682,11 @@ impl DistMoeLayer {
         (shapes, total)
     }
 
-    /// This rank's ESP shard of the full expert holding `weights`. A
+    /// The `esp_group` shard of the full expert holding `weights`. A
     /// scratch build supplies the module structure; its random weights
     /// are overwritten by the verbatim import (only the shapes matter,
     /// so the rng is a throwaway), and the shard stays bit-identical.
-    fn rebuild_shard(&self, weights: &[Tensor]) -> Result<Box<dyn Expert>> {
+    fn rebuild_shard(&self, weights: &[Tensor], esp_group: &GroupComm) -> Result<Box<dyn Expert>> {
         let mut scratch = TensorRng::seed_from(0);
         let mut full = build_expert(
             self.config.ffn,
@@ -697,18 +695,18 @@ impl DistMoeLayer {
             &mut scratch,
         );
         full.import_weights(weights)?;
-        full.shard(self.esp_group.group_index(), self.esp_group.size())
+        full.shard(esp_group.group_index(), esp_group.size())
     }
 
-    /// Rebuilds this rank's gate and expert shards from a *full*
-    /// checkpoint (all `E` experts), keeping only the experts the
-    /// current [`ExpertMap`] places here. Forward state is discarded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MoeError::BadInput`] when the checkpoint's gate family
-    /// or expert count disagrees with the layer.
-    pub fn restore_full(&mut self, checkpoint: &LayerCheckpoint) -> Result<()> {
+    /// Installs `checkpoint` on `map`'s placement over the given groups.
+    /// Every fallible step runs before the first write.
+    fn install(
+        &mut self,
+        checkpoint: &LayerCheckpoint,
+        map: ExpertMap,
+        ep_group: GroupComm,
+        esp_group: GroupComm,
+    ) -> Result<()> {
         if checkpoint.gate_name != self.gate.name() {
             return Err(MoeError::BadInput {
                 expected: format!("gate {:?}", self.gate.name()),
@@ -721,21 +719,40 @@ impl DistMoeLayer {
                 actual: vec![checkpoint.experts.len()],
             });
         }
-        self.gate.import_weights(&checkpoint.gate)?;
-        self.shards = self
-            .expert_map
-            .experts_on(self.ep_group.group_index())
+        let shards = map
+            .experts_on(ep_group.group_index())
             .iter()
-            .map(|&e| self.rebuild_shard(&checkpoint.experts[e]))
-            .collect::<Result<_>>()?;
+            .map(|&e| self.rebuild_shard(&checkpoint.experts[e], &esp_group))
+            .collect::<Result<Vec<_>>>()?;
+        // The gate import validates every tensor before it assigns any.
+        self.gate.import_weights(&checkpoint.gate)?;
+        self.shards = shards;
+        self.expert_map = map;
+        self.ep_group = ep_group;
+        self.esp_group = esp_group;
         self.state = None;
         Ok(())
+    }
+
+    /// Rebuilds this rank's gate and expert shards from a *full*
+    /// checkpoint (all `E` experts), keeping only the experts the
+    /// current [`ExpertMap`] places here. Forward state is discarded.
+    /// All or nothing: on error the layer is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MoeError::BadInput`] when the checkpoint's gate family,
+    /// expert count or weight shapes disagree with the layer.
+    pub fn restore_full(&mut self, checkpoint: &LayerCheckpoint) -> Result<()> {
+        let (ep, esp) = (self.ep_group.clone(), self.esp_group.clone());
+        self.install(checkpoint, self.expert_map.clone(), ep, esp)
     }
 
     /// Re-shards this rank's slice after a world reconfiguration:
     /// installs `plan`'s expert placement, rebinds the EP/ESP groups
     /// over the new communicator, and restores every locally hosted
-    /// expert from `checkpoint`.
+    /// expert from `checkpoint`. All or nothing: on error the layer is
+    /// unchanged.
     ///
     /// The drop account ([`DistMoeLayer::dropped_tokens`]) survives the
     /// reshard — tokens lost before the eviction stay counted exactly
@@ -773,12 +790,11 @@ impl DistMoeLayer {
                 ),
             });
         }
-        self.ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
-        self.esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
-        self.experts_per_ep = plan.map.experts_on(self.ep_group.group_index()).len();
-        self.expert_map = plan.map.clone();
+        let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
+        let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
+        self.install(checkpoint, plan.map.clone(), ep_group, esp_group)?;
         self.rank = comm.rank();
-        self.restore_full(checkpoint)
+        Ok(())
     }
 
     /// Migrates `expert` to EP position `to_pos` without an eviction:
@@ -873,15 +889,11 @@ impl DistMoeLayer {
         if self.rank == to_rank {
             // `migrated` appends the expert to the destination's list,
             // so the new shard goes to the end of ours.
-            let shard = self.rebuild_shard(&unflatten_weights(&flat, &shapes)?)?;
+            let shard = self.rebuild_shard(&unflatten_weights(&flat, &shapes)?, &self.esp_group)?;
             self.shards.push(shard);
             obs::counter_add(obs::names::MOE_MIGRATIONS, 1);
         }
         self.expert_map = new_map;
-        self.experts_per_ep = self
-            .expert_map
-            .experts_on(self.ep_group.group_index())
-            .len();
         self.state = None;
         Ok(())
     }

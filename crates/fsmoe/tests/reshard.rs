@@ -249,3 +249,46 @@ fn restore_full_rejects_foreign_checkpoints() {
         assert!(layer.restore_full(&ckpt).is_err());
     });
 }
+
+#[test]
+fn rejected_reshard_leaves_the_placement_unchanged() {
+    // The checkpoint is checked before anything is installed: a reshard
+    // that fails on a foreign gate keeps the old map, groups and shards.
+    let cfg = config(4);
+    run_world_within(CommWorld::new(2), BUDGET, move |comm| {
+        let topo = flat_topology(2);
+        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let before = layer.expert_map().clone();
+        let mut ckpt = layer.checkpoint_global().unwrap();
+        ckpt.gate_name = "sigmoid".to_string();
+        let scrambled = ExpertMap::from_lists(vec![vec![3, 1], vec![0, 2]]).unwrap();
+        assert!(layer
+            .reshard(&ReshardPlan::custom(scrambled), &ckpt, &comm, &topo)
+            .is_err());
+        assert_eq!(layer.expert_map(), &before);
+    });
+}
+
+#[test]
+fn rejected_restore_leaves_the_gate_unchanged() {
+    // The expert shards are rebuilt before the gate is imported: a
+    // checkpoint whose experts do not fit is refused without touching
+    // the gate weights.
+    let cfg = config(4);
+    let untouched = run_world_within(CommWorld::new(2), BUDGET, move |comm| {
+        let topo = flat_topology(2);
+        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let before = layer.checkpoint_global().unwrap();
+        let mut bad = before.clone();
+        for w in &mut bad.gate {
+            *w = w.scale(2.0);
+        }
+        for expert in &mut bad.experts {
+            expert[0] = Tensor::zeros(&[3, 3]);
+        }
+        let rejected = layer.restore_full(&bad).is_err();
+        let after = layer.checkpoint_global().unwrap();
+        rejected && after.gate == before.gate
+    });
+    assert_eq!(untouched, vec![true, true]);
+}

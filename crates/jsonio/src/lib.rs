@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline, so it cannot pull `serde`/`serde_json`;
 //! this crate covers the two places JSON actually crosses a process
-//! boundary: layer checkpoints ([`fsmoe`]'s `LayerCheckpoint`) and the
+//! boundary: layer checkpoints (`fsmoe`'s `LayerCheckpoint`) and the
 //! benchmark baselines (`BENCH_*.json`). Numbers round-trip exactly for
 //! every finite `f32`/`f64` because the writer emits Rust's shortest
 //! round-trip representation.

@@ -1,10 +1,10 @@
 //! Elastic training: surviving *permanent* rank loss.
 //!
-//! [`RecoveryDriver`](crate::recovery::RecoveryDriver) rolls a
-//! single-process layer back to a snapshot; [`ElasticTrainer`] goes
-//! further and keeps a *distributed* run alive when a rank dies for
-//! good. On a blamable step failure it drives the full elastic
-//! pipeline:
+//! [`ElasticTrainer`] is the workspace's one fault-tolerant trainer. It
+//! snapshots the layer and routing RNG every
+//! [`ElasticPolicy::snapshot_interval`] steps, and keeps a
+//! *distributed* run alive when a rank dies for good. On a blamable
+//! step failure it drives the full elastic pipeline:
 //!
 //! 1. **blame** — classify the fault onto a dead peer
 //!    ([`CommError::RankDown`] names it; timeouts and abandoned ops are
@@ -71,28 +71,25 @@ pub fn flat_topology(n: usize) -> Result<HybridTopology> {
     .map_err(MoeError::Comm)
 }
 
+/// How many evictions to survive before giving up and propagating the
+/// failure.
+const MAX_EVICTIONS: usize = 1;
+
+/// Deadline for the eviction vote itself (longer than the op deadline —
+/// survivors may reach the vote at different times).
+const VOTE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Knobs for the elastic pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticPolicy {
     /// Snapshot every this many steps (the rollback granularity).
     pub snapshot_interval: usize,
-    /// Blamable step failures tolerated before driving an eviction.
-    pub strikes_to_evict: usize,
-    /// How many evictions to survive before giving up and propagating
-    /// the failure.
-    pub max_evictions: usize,
-    /// Deadline for the eviction vote itself (longer than the op
-    /// deadline — survivors may reach the vote at different times).
-    pub vote_deadline: Duration,
 }
 
 impl Default for ElasticPolicy {
     fn default() -> Self {
         ElasticPolicy {
             snapshot_interval: 2,
-            strikes_to_evict: 1,
-            max_evictions: 1,
-            vote_deadline: Duration::from_secs(5),
         }
     }
 }
@@ -115,11 +112,8 @@ pub struct ElasticTrainer {
     route_rng: TensorRng,
     step: usize,
     snapshot: ElasticSnapshot,
-    /// Guards against re-snapshotting the step we just rolled back to.
-    last_snapshot_step: usize,
     checkpoint_dir: Option<PathBuf>,
     evictions: usize,
-    strikes: usize,
     last_fallback: Option<MoeError>,
     rebalancer: Option<ImbalanceDetector>,
     migrations: usize,
@@ -153,34 +147,7 @@ impl ElasticTrainer {
         route_rng: TensorRng,
         policy: ElasticPolicy,
     ) -> Result<Self> {
-        let topo = flat_topology(comm.world_size())?;
-        let layer = DistMoeLayer::gshard(config, &comm, &topo, seed)?;
-        let checkpoint = layer.checkpoint_global()?;
-        let snapshot = ElasticSnapshot {
-            step: 0,
-            checkpoint,
-            route_rng: route_rng.clone(),
-        };
-        Ok(ElasticTrainer {
-            comm,
-            layer,
-            policy,
-            route_rng,
-            step: 0,
-            snapshot,
-            last_snapshot_step: 0,
-            checkpoint_dir: None,
-            evictions: 0,
-            strikes: 0,
-            last_fallback: None,
-            rebalancer: None,
-            migrations: 0,
-            last_migration: None,
-            health: None,
-            gray: None,
-            quarantined: Vec::new(),
-            quarantines: 0,
-        })
+        Self::build(config, comm, seed, route_rng, policy, None)
     }
 
     /// Builds a trainer that *resumes* from `checkpoint` at `step` —
@@ -199,12 +166,33 @@ impl ElasticTrainer {
         step: usize,
         policy: ElasticPolicy,
     ) -> Result<Self> {
+        let from = Some((checkpoint, step));
+        Self::build(config, comm, seed, route_rng, policy, from)
+    }
+
+    /// Builds the layer over the flat topology and the trainer around
+    /// it: restored from `from`'s checkpoint at its step, or as seeded
+    /// at step 0. The layer and `route_rng` are the first snapshot.
+    fn build(
+        config: &MoeConfig,
+        comm: Communicator,
+        seed: u64,
+        route_rng: TensorRng,
+        policy: ElasticPolicy,
+        from: Option<(&LayerCheckpoint, usize)>,
+    ) -> Result<Self> {
         let topo = flat_topology(comm.world_size())?;
         let mut layer = DistMoeLayer::gshard(config, &comm, &topo, seed)?;
-        layer.restore_full(checkpoint)?;
+        let (checkpoint, step) = match from {
+            Some((checkpoint, step)) => {
+                layer.restore_full(checkpoint)?;
+                (checkpoint.clone(), step)
+            }
+            None => (layer.checkpoint_global()?, 0),
+        };
         let snapshot = ElasticSnapshot {
             step,
-            checkpoint: checkpoint.clone(),
+            checkpoint,
             route_rng: route_rng.clone(),
         };
         Ok(ElasticTrainer {
@@ -214,10 +202,8 @@ impl ElasticTrainer {
             route_rng,
             step,
             snapshot,
-            last_snapshot_step: step,
             checkpoint_dir: None,
             evictions: 0,
-            strikes: 0,
             last_fallback: None,
             rebalancer: None,
             migrations: 0,
@@ -359,7 +345,7 @@ impl ElasticTrainer {
 
     fn maybe_snapshot(&mut self) -> Result<()> {
         if !self.step.is_multiple_of(self.policy.snapshot_interval)
-            || self.step == self.last_snapshot_step
+            || self.step == self.snapshot.step
         {
             return Ok(());
         }
@@ -376,7 +362,6 @@ impl ElasticTrainer {
             checkpoint,
             route_rng: self.route_rng.clone(),
         };
-        self.last_snapshot_step = self.step;
         Ok(())
     }
 
@@ -448,7 +433,7 @@ impl ElasticTrainer {
         span.attr("victim", victim);
         span.attr("from_step", self.step);
         let mut vote_comm = self.comm.clone();
-        vote_comm.set_deadline(Some(self.policy.vote_deadline));
+        vote_comm.set_deadline(Some(VOTE_DEADLINE));
         let epoch = match vote_comm.propose_evict(victim) {
             Ok(epoch) => epoch,
             // Another handle already drove the world past us — rebind.
@@ -469,9 +454,7 @@ impl ElasticTrainer {
         self.comm = new_comm;
         self.route_rng = self.snapshot.route_rng.clone();
         self.step = self.snapshot.step;
-        self.last_snapshot_step = self.snapshot.step;
         self.evictions += 1;
-        self.strikes = 0;
         Ok(())
     }
 
@@ -608,7 +591,7 @@ impl ElasticTrainer {
             / 1e3;
         let replay_steps = self.step - self.snapshot.step;
         let cost = gray.price(self.comm.world_size(), healthy_step_ms, score, replay_steps);
-        if !cost.eviction_wins() || self.evictions >= self.policy.max_evictions {
+        if !cost.eviction_wins() || self.evictions >= MAX_EVICTIONS {
             defer(&mut self.health);
             return Ok(HealthOutcome::Continue);
         }
@@ -631,7 +614,7 @@ impl ElasticTrainer {
     /// # Errors
     ///
     /// Propagates unblamable failures, and blamable ones once the
-    /// eviction budget ([`ElasticPolicy::max_evictions`]) is spent.
+    /// eviction budget (one eviction) is spent.
     pub fn train_step(&mut self, input: &Tensor, target: &Tensor, lr: f32) -> Result<f32> {
         loop {
             // Self time = step wall time minus time spent blocked in
@@ -650,7 +633,6 @@ impl ElasticTrainer {
             let err = match result {
                 Ok(loss) => {
                     self.step += 1;
-                    self.strikes = 0;
                     let wall_us = wall_start.elapsed().as_micros() as u64;
                     let waited = self
                         .comm
@@ -675,14 +657,7 @@ impl ElasticTrainer {
             let Some(victim) = self.blame(&err) else {
                 return Err(err);
             };
-            self.strikes += 1;
-            if self.strikes < self.policy.strikes_to_evict {
-                // Under the strike budget: retry the step as-is (the
-                // rollback on eviction erases any RNG drift from failed
-                // attempts).
-                continue;
-            }
-            if self.evictions >= self.policy.max_evictions {
+            if self.evictions >= MAX_EVICTIONS {
                 return Err(err);
             }
             self.recover_from_eviction(victim)?;

@@ -1,9 +1,12 @@
 //! Elastic-training properties: the headline bit-identity theorem
 //! (survivors of an eviction compute exactly what a fresh smaller world
-//! would) and the multi-seed chaos soak ci.sh runs under a hang
-//! watchdog. Exact obs-counter properties live in `elastic_obs.rs`
-//! (their own process, so concurrent tests cannot pollute counts).
+//! would, whether they roll back from disk or from memory), bit-exact
+//! restart from an on-disk snapshot, and the multi-seed chaos soak
+//! ci.sh runs under a hang watchdog. Exact obs-counter properties live
+//! in `elastic_obs.rs` (their own process, so concurrent tests cannot
+//! pollute counts).
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use collectives::{run_world_within, CommWorld};
@@ -47,6 +50,14 @@ fn world(n: usize) -> CommWorld {
     CommWorld::new(n).with_deadline(Duration::from_secs(5))
 }
 
+/// A fresh, empty checkpoint directory unique to this process and `tag`.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fsmoe-elastic-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// Runs a clean `n`-rank reference for `steps` steps; returns each
 /// rank's (full checkpoint, route RNG) at the end — i.e. the state a
 /// snapshot at `steps` would capture.
@@ -74,17 +85,21 @@ fn reference_state(cfg: &MoeConfig, n: usize, steps: usize) -> Vec<(LayerCheckpo
 
 /// The elastic run: `n` ranks, `victim` dies for good after completing
 /// `die_after` steps, survivors evict + re-shard and run to `total`
-/// steps. Returns per-old-rank (final checkpoint, evictions, epoch) for
-/// survivors, None for the victim.
+/// steps. With `checkpoint_dir`, rank 0 persists every snapshot there
+/// and recovery prefers the on-disk copy. Every survivor must finish
+/// without a checkpoint fallback. Returns per-old-rank (final
+/// checkpoint, evictions, epoch) for survivors, None for the victim.
 fn elastic_run(
     cfg: &MoeConfig,
     n: usize,
     victim: usize,
     die_after: usize,
     total: usize,
+    checkpoint_dir: Option<&Path>,
 ) -> Vec<Option<(LayerCheckpoint, usize, u64)>> {
     run_world_within(world(n), BUDGET, {
         let cfg = cfg.clone();
+        let checkpoint_dir = checkpoint_dir.map(Path::to_path_buf);
         move |comm| {
             let rank = comm.rank();
             let mut trainer = ElasticTrainer::new(
@@ -95,6 +110,9 @@ fn elastic_run(
                 ElasticPolicy::default(),
             )
             .unwrap();
+            if let Some(dir) = &checkpoint_dir {
+                trainer = trainer.with_checkpoint_dir(dir.clone());
+            }
             let (x, t) = rank_data(&cfg, rank);
             if rank == victim {
                 while trainer.step() < die_after {
@@ -106,6 +124,11 @@ fn elastic_run(
             while trainer.step() < total {
                 trainer.train_step(&x, &t, LR).unwrap();
             }
+            assert!(
+                trainer.last_fallback().is_none(),
+                "rank {rank} fell back from the checkpoint directory: {:?}",
+                trainer.last_fallback()
+            );
             Some((
                 trainer.full_checkpoint().unwrap(),
                 trainer.evictions(),
@@ -118,7 +141,9 @@ fn elastic_run(
 /// **Headline property.** A 4-rank run that permanently loses rank 2
 /// after step 5 finishes bit-identical to a fresh 3-rank run started
 /// from the snapshot the survivors rolled back to — with each new rank
-/// resuming the matching old rank's data and RNG stream.
+/// resuming the matching old rank's data and RNG stream. The rollback
+/// reads the intact on-disk snapshot when a checkpoint directory is set
+/// and the in-memory one otherwise; both land on the same bits.
 #[test]
 fn eviction_is_bit_identical_to_fresh_small_world() {
     // E = 12 so the orphaned 3 experts deal evenly over 3 survivors.
@@ -128,7 +153,15 @@ fn eviction_is_bit_identical_to_fresh_small_world() {
     let snap_step = 4usize;
 
     let reference = reference_state(&cfg, 4, snap_step);
-    let elastic = elastic_run(&cfg, 4, victim, die_after, total);
+    let elastic = elastic_run(&cfg, 4, victim, die_after, total, None);
+    let dir = scratch_dir("headline");
+    let from_disk = elastic_run(&cfg, 4, victim, die_after, total, Some(&dir));
+    assert!(
+        dir.join("elastic-step-4.json").exists(),
+        "the rollback target was persisted"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(from_disk, elastic, "disk rollback diverged from memory");
 
     // Fresh small world: survivors' old ranks, renumbered contiguously —
     // new rank i carries old rank survivors[i]'s data and RNG stream.
@@ -184,7 +217,15 @@ fn eviction_bit_identity_holds_from_snapshot_failure() {
     // Victim dies after step 2; survivors fail in the step-2 snapshot
     // and roll back to the *initial* snapshot (step 0).
     let reference = reference_state(&cfg, 3, 0);
-    let elastic = elastic_run(&cfg, 3, victim, die_after, total);
+    let elastic = elastic_run(&cfg, 3, victim, die_after, total, None);
+    // Step 0 is never persisted, so with a checkpoint directory the
+    // rollback must still take the in-memory snapshot, without counting
+    // the missing file as a fallback.
+    let dir = scratch_dir("step0");
+    let from_disk = elastic_run(&cfg, 3, victim, die_after, total, Some(&dir));
+    assert!(!dir.join("elastic-step-0.json").exists());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(from_disk, elastic, "directory-backed run diverged");
 
     let survivors: Vec<usize> = (0..3).filter(|&r| r != victim).collect();
     let fresh = run_world_within(world(2), BUDGET, {
@@ -216,6 +257,57 @@ fn eviction_bit_identity_holds_from_snapshot_failure() {
         let (ckpt, ..) = elastic[old].clone().expect("survivor finished");
         assert_eq!(ckpt, fresh[0], "old rank {old} diverged");
     }
+}
+
+/// Restarting from disk is bit-exact: a 1-rank run snapshotting every 3
+/// steps to a checkpoint directory, and a second trainer resumed from
+/// the step-6 file with the routing RNG as it stood after step 6, both
+/// reach step 9 with identical weights.
+#[test]
+fn restart_from_disk_snapshot_is_bit_exact() {
+    const INTERVAL: usize = 3;
+    const STEPS: usize = 9;
+    let cfg = config(3);
+    let dir = scratch_dir("restart");
+    let (x, t) = rank_data(&cfg, 0);
+    let policy = ElasticPolicy {
+        snapshot_interval: INTERVAL,
+    };
+
+    let (uninterrupted, rng_at_6) = run_world_within(world(1), BUDGET, {
+        let (cfg, dir, x, t) = (cfg.clone(), dir.clone(), x.clone(), t.clone());
+        move |comm| {
+            let mut trainer = ElasticTrainer::new(&cfg, comm, SEED, route_rng_for(0), policy)
+                .unwrap()
+                .with_checkpoint_dir(dir.clone());
+            let mut rng_at_6 = None;
+            while trainer.step() < STEPS {
+                trainer.train_step(&x, &t, LR).unwrap();
+                if trainer.step() == 6 {
+                    rng_at_6 = Some(trainer.route_rng());
+                }
+            }
+            (trainer.full_checkpoint().unwrap(), rng_at_6.unwrap())
+        }
+    })
+    .remove(0);
+
+    let on_disk = LayerCheckpoint::load(&dir.join("elastic-step-6.json")).unwrap();
+    let restarted = run_world_within(world(1), BUDGET, {
+        let cfg = cfg.clone();
+        move |comm| {
+            let mut trainer =
+                ElasticTrainer::resume(&cfg, comm, SEED, &on_disk, rng_at_6.clone(), 6, policy)
+                    .unwrap();
+            while trainer.step() < STEPS {
+                trainer.train_step(&x, &t, LR).unwrap();
+            }
+            trainer.full_checkpoint().unwrap()
+        }
+    })
+    .remove(0);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(uninterrupted, restarted);
 }
 
 /// Chaos soak: many seeds × world sizes, every run must finish (the
@@ -264,7 +356,6 @@ fn gray_failure_chaos_soak() {
                     let rank = comm.rank();
                     let policy = ElasticPolicy {
                         snapshot_interval: 10_000,
-                        ..ElasticPolicy::default()
                     };
                     let mut trainer =
                         ElasticTrainer::new(&cfg, comm, SEED, route_rng_for(rank), policy)
@@ -333,7 +424,7 @@ fn elastic_chaos_soak() {
             let victim = (seed as usize) % n;
             let die_after = 1 + (seed as usize % 3);
             let total = die_after + 3;
-            let results = elastic_run(&cfg, n, victim, die_after, total);
+            let results = elastic_run(&cfg, n, victim, die_after, total, None);
             let survivors: Vec<_> = results.iter().flatten().collect();
             assert_eq!(
                 survivors.len(),

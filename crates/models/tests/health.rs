@@ -77,7 +77,6 @@ fn gray_policy() -> GrayFailurePolicy {
 fn policy_snapshot_once() -> ElasticPolicy {
     ElasticPolicy {
         snapshot_interval: 10_000,
-        ..ElasticPolicy::default()
     }
 }
 

@@ -48,8 +48,6 @@ pub const SPAN_TRAIN_STEP: &str = "train_step";
 pub const SPAN_UPDATE: &str = "update";
 /// Span: taking a recovery snapshot/checkpoint.
 pub const SPAN_SNAPSHOT: &str = "snapshot";
-/// Span: restoring state after a failure.
-pub const SPAN_RECOVER: &str = "recover";
 /// Span: the elastic eviction + re-shard + rollback sequence.
 pub const SPAN_ELASTIC_RECONFIGURE: &str = "elastic.reconfigure";
 /// Span: an eviction-free hot-expert migration (fence → transfer →

@@ -39,7 +39,7 @@ impl Tensor {
     ///
     /// The output is bit-identical for every `threads` value (including
     /// 0 and 1, both meaning serial): the same packed microkernel
-    /// ([`crate::kernel`]) computes every row band, and each output
+    /// (`crate::kernel`) computes every row band, and each output
     /// element always accumulates its `k` products in ascending order,
     /// so no floating-point reassociation occurs between the serial and
     /// parallel paths.

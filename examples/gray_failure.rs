@@ -65,7 +65,6 @@ fn config() -> MoeConfig {
 fn policy() -> ElasticPolicy {
     ElasticPolicy {
         snapshot_interval: 10_000,
-        ..ElasticPolicy::default()
     }
 }
 

@@ -252,7 +252,7 @@ pub mod prop {
         use super::super::{Strategy, TestRng};
         use std::ops::Range;
 
-        /// Length specification for [`vec`].
+        /// Length specification for [`vec()`].
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,
