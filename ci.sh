@@ -22,6 +22,19 @@ cargo build --release
 # failure. Kill the whole test run if it exceeds the budget.
 timeout --kill-after=30 900 cargo test -q
 
+echo "==> tier-1 repeats: 5 more full test runs"
+# Tier-1 must pass on every run, not most runs: a test that races under
+# full-suite load fails one of these reruns instead of slipping through.
+for run in 1 2 3 4 5; do
+    echo "--> tier-1 repeat $run/5"
+    timeout --kill-after=30 900 cargo test -q
+done
+
+echo "==> collectives pinned to one core"
+# With every rank thread sharing one CPU, a rendezvous that only works
+# when the threads run in parallel hangs or fails here.
+timeout --kill-after=30 600 taskset -c 0 cargo test -q -p collectives
+
 echo "==> stepbench: benchmark replay self-tests"
 # stepbench is a package of its own outside the workspace, so tier-1
 # never compiles it. Its tests check the benchmark's stage replay

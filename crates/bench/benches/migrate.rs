@@ -118,11 +118,10 @@ fn main() {
         "migrate pause: best {best_pause_ms:.3} ms, worst {worst_pause_ms:.3} ms \
          ({expert_bytes:.0} B payload, budget {BUDGET_MS} ms)"
     );
+    let phase = |name| modeled.phase(name).expect("migration phase");
+    let (quiesce, transfer, rebind) = (phase("quiesce"), phase("transfer"), phase("rebind"));
     println!(
-        "modeled (testbed A): quiesce {:.3} + transfer {:.3} + rebind {:.3} = {:.3} ms",
-        modeled.quiesce,
-        modeled.transfer,
-        modeled.rebind,
+        "modeled (testbed A): quiesce {quiesce:.3} + transfer {transfer:.3} + rebind {rebind:.3} = {:.3} ms",
         modeled.total()
     );
 
@@ -137,9 +136,9 @@ fn main() {
         ("expert_bytes", Json::from(expert_bytes)),
         ("pause_ms_best", Json::from(best_pause_ms)),
         ("pause_ms_worst", Json::from(worst_pause_ms)),
-        ("modeled_quiesce_ms", Json::from(modeled.quiesce)),
-        ("modeled_transfer_ms", Json::from(modeled.transfer)),
-        ("modeled_rebind_ms", Json::from(modeled.rebind)),
+        ("modeled_quiesce_ms", Json::from(quiesce)),
+        ("modeled_transfer_ms", Json::from(transfer)),
+        ("modeled_rebind_ms", Json::from(rebind)),
         ("modeled_total_ms", Json::from(modeled.total())),
         ("budget_ms", Json::from(BUDGET_MS)),
     ]);

@@ -33,7 +33,7 @@ use crate::gate::{GShardGate, Gate};
 use crate::grouped::{self, GroupedState};
 use crate::hooks::{MoeHooks, NoopHooks};
 use crate::order::{combine_backward, order_backward, OrderFn, TutelOrdering};
-use crate::reshard::{permute_expert_blocks, unpermute_expert_blocks, ExpertMap, ReshardPlan};
+use crate::reshard::{permute_expert_blocks, unpermute_expert_blocks, ExpertMap};
 use crate::routing::Routing;
 use crate::{MoeError, Result};
 
@@ -749,7 +749,7 @@ impl DistMoeLayer {
     }
 
     /// Re-shards this rank's slice after a world reconfiguration:
-    /// installs `plan`'s expert placement, rebinds the EP/ESP groups
+    /// installs the expert placement `map`, rebinds the EP/ESP groups
     /// over the new communicator, and restores every locally hosted
     /// expert from `checkpoint`. All or nothing: on error the layer is
     /// unchanged.
@@ -760,39 +760,39 @@ impl DistMoeLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`MoeError::BadConfig`] when the plan disagrees with the
+    /// Returns [`MoeError::BadConfig`] when `map` disagrees with the
     /// layer config or the new topology, and propagates group-building
     /// and restore failures.
     pub fn reshard(
         &mut self,
-        plan: &ReshardPlan,
+        map: ExpertMap,
         checkpoint: &LayerCheckpoint,
         comm: &Communicator,
         topo: &HybridTopology,
     ) -> Result<()> {
-        if plan.map.num_experts() != self.config.num_experts {
+        if map.num_experts() != self.config.num_experts {
             return Err(MoeError::BadConfig {
-                field: "reshard_plan",
+                field: "expert_map",
                 reason: format!(
-                    "plan places {} experts, layer has {}",
-                    plan.map.num_experts(),
+                    "map places {} experts, layer has {}",
+                    map.num_experts(),
                     self.config.num_experts
                 ),
             });
         }
-        if plan.map.n_ep() != topo.dims().ep {
+        if map.n_ep() != topo.dims().ep {
             return Err(MoeError::BadConfig {
-                field: "reshard_plan",
+                field: "expert_map",
                 reason: format!(
-                    "plan spans {} EP positions, topology has {}",
-                    plan.map.n_ep(),
+                    "map spans {} EP positions, topology has {}",
+                    map.n_ep(),
                     topo.dims().ep
                 ),
             });
         }
         let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
         let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
-        self.install(checkpoint, plan.map.clone(), ep_group, esp_group)?;
+        self.install(checkpoint, map, ep_group, esp_group)?;
         self.rank = comm.rank();
         Ok(())
     }

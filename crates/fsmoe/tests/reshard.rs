@@ -10,7 +10,7 @@ use collectives::{run_world_within, CommWorld, HybridTopology, ParallelDims};
 use fsmoe::checkpoint::LayerCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::dist::DistMoeLayer;
-use fsmoe::reshard::{ExpertMap, ReshardPlan};
+use fsmoe::reshard::ExpertMap;
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 91;
@@ -78,9 +78,7 @@ fn placement_is_invariant() {
             let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             let ckpt = layer.checkpoint_global().unwrap();
             let map = ExpertMap::from_lists(vec![vec![3, 1], vec![0, 2]]).unwrap();
-            layer
-                .reshard(&ReshardPlan::custom(map), &ckpt, &comm, &topo)
-                .unwrap();
+            layer.reshard(map, &ckpt, &comm, &topo).unwrap();
             assert!(!layer.expert_map().is_block());
             run_step(&mut layer, &cfg, comm.rank())
         }
@@ -111,9 +109,7 @@ fn non_uniform_placement_is_invariant_too() {
             let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             let ckpt = layer.checkpoint_global().unwrap();
             let map = ExpertMap::from_lists(vec![vec![4], vec![0, 5, 1, 3, 2]]).unwrap();
-            layer
-                .reshard(&ReshardPlan::custom(map), &ckpt, &comm, &topo)
-                .unwrap();
+            layer.reshard(map, &ckpt, &comm, &topo).unwrap();
             assert!(!layer.expert_map().is_uniform());
             assert_eq!(layer.expert_map().slots_per_position(), 5);
             run_step(&mut layer, &cfg, comm.rank())
@@ -192,8 +188,8 @@ fn eviction_reshards_across_survivors() {
             comm.propose_evict(1).unwrap();
             let new_comm = comm.reconfigured().unwrap();
             let new_topo = flat_topology(2);
-            let plan = ReshardPlan::round_robin(layer.expert_map(), 1).unwrap();
-            layer.reshard(&plan, &ckpt, &new_comm, &new_topo).unwrap();
+            let map = layer.expert_map().after_eviction(1).unwrap();
+            layer.reshard(map, &ckpt, &new_comm, &new_topo).unwrap();
             // Survivors keep their block plus a dealt orphan each.
             let expected: &[usize] = match new_comm.rank() {
                 0 => &[0, 1, 2],
@@ -219,19 +215,13 @@ fn reshard_rejects_mismatched_plans() {
         let ckpt = layer.checkpoint_global().unwrap();
         // Wrong expert count.
         let small = ExpertMap::block(2, 2).unwrap();
-        assert!(layer
-            .reshard(&ReshardPlan::custom(small), &ckpt, &comm, &topo)
-            .is_err());
+        assert!(layer.reshard(small, &ckpt, &comm, &topo).is_err());
         // Wrong EP width for the topology.
         let wide = ExpertMap::block(4, 4).unwrap();
-        assert!(layer
-            .reshard(&ReshardPlan::custom(wide), &ckpt, &comm, &topo)
-            .is_err());
+        assert!(layer.reshard(wide, &ckpt, &comm, &topo).is_err());
         // A valid reshard still works afterwards.
         let same = ExpertMap::block(4, 2).unwrap();
-        layer
-            .reshard(&ReshardPlan::custom(same), &ckpt, &comm, &topo)
-            .unwrap();
+        layer.reshard(same, &ckpt, &comm, &topo).unwrap();
     });
 }
 
@@ -262,9 +252,7 @@ fn rejected_reshard_leaves_the_placement_unchanged() {
         let mut ckpt = layer.checkpoint_global().unwrap();
         ckpt.gate_name = "sigmoid".to_string();
         let scrambled = ExpertMap::from_lists(vec![vec![3, 1], vec![0, 2]]).unwrap();
-        assert!(layer
-            .reshard(&ReshardPlan::custom(scrambled), &ckpt, &comm, &topo)
-            .is_err());
+        assert!(layer.reshard(scrambled, &ckpt, &comm, &topo).is_err());
         assert_eq!(layer.expert_map(), &before);
     });
 }

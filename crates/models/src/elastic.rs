@@ -15,7 +15,7 @@
 //! 3. **reconfigure** — each survivor rebinds into the shrunken world
 //!    ([`Communicator::reconfigured`]) with contiguous ranks;
 //! 4. **re-shard** — the dead rank's experts are dealt round-robin
-//!    across the survivors ([`ReshardPlan::round_robin`]) and every
+//!    across the survivors ([`ExpertMap::after_eviction`]) and every
 //!    survivor restores its (new) expert set from the last snapshot;
 //! 5. **resume** — routing RNG and step counter roll back to the
 //!    snapshot and training continues on the smaller world.
@@ -33,6 +33,8 @@
 //! copy (the restart path) but falls back to the in-memory snapshot —
 //! with a typed error recorded, never a panic or silent zero weights —
 //! when the file is truncated, NaN-bearing, or disagrees with memory.
+//!
+//! [`ExpertMap::after_eviction`]: fsmoe::reshard::ExpertMap::after_eviction
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -41,7 +43,6 @@ use collectives::{CommError, Communicator, HybridTopology, ParallelDims};
 use fsmoe::checkpoint::LayerCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::dist::{DistMoeLayer, FaultPolicy};
-use fsmoe::reshard::ReshardPlan;
 use fsmoe::{MoeError, Result};
 use tensor::{Tensor, TensorRng};
 
@@ -444,13 +445,13 @@ impl ElasticTrainer {
         span.attr("epoch", epoch);
         span.attr("survivors", new_comm.world_size());
         // Flat topology: the evicted rank IS the evicted EP position.
-        // The uneven deal matters on the gray-failure path: a
+        // The deal may come out uneven on the gray-failure path: a
         // quarantine drain thins the victim's list before eviction, so
         // its orphan count rarely divides over the survivors.
-        let plan = ReshardPlan::round_robin_uneven(self.layer.expert_map(), victim)?;
+        let map = self.layer.expert_map().after_eviction(victim)?;
         let checkpoint = self.load_recovery_checkpoint();
         let topo = flat_topology(new_comm.world_size())?;
-        self.layer.reshard(&plan, &checkpoint, &new_comm, &topo)?;
+        self.layer.reshard(map, &checkpoint, &new_comm, &topo)?;
         self.comm = new_comm;
         self.route_rng = self.snapshot.route_rng.clone();
         self.step = self.snapshot.step;

@@ -16,7 +16,7 @@
 //!   steps escalates the rank up the ladder: **log** (first offence) →
 //!   **quarantine** (keeps its experts, loses migration-destination
 //!   eligibility, hot experts drain off it) → **evict candidate**
-//!   (handed to simnet's [`price_gray_failure`] crossover; the trainer
+//!   (handed to simnet's [`GrayFailurePolicy::price`] crossover; the trainer
 //!   evicts only when the arithmetic says eviction beats limping).
 //!
 //! Every input is identical on every rank (all-reduced self times, the
@@ -26,7 +26,7 @@
 //! eviction vote both rely on.
 
 use fsmoe::reshard::ExpertMap;
-use simnet::{price_gray_failure, GrayFailureCost, OpCosts};
+pub use simnet::GrayFailurePolicy;
 
 use crate::imbalance::MigrationDecision;
 
@@ -83,7 +83,7 @@ pub enum HealthAction {
         /// The degraded rank.
         rank: usize,
         /// Its score at escalation time — the `slowdown` input to
-        /// [`price_gray_failure`].
+        /// [`GrayFailurePolicy::price`].
         score: f64,
     },
 }
@@ -307,45 +307,6 @@ pub fn drain_decision(
         return None;
     }
     Some(MigrationDecision { expert, from, to })
-}
-
-/// The keep-limping-vs-evict inputs the trainer hands to simnet when
-/// the ladder reaches [`HealthAction::EvictCandidate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GrayFailurePolicy {
-    /// α–β op costs to price the reconfiguration with.
-    pub costs: OpCosts,
-    /// How many future steps the comparison amortizes over.
-    pub horizon_steps: usize,
-    /// Orphaned expert bytes an eviction would move.
-    pub moved_bytes: f64,
-    /// Snapshot bytes every survivor would reload.
-    pub checkpoint_bytes: f64,
-}
-
-impl GrayFailurePolicy {
-    /// Prices the crossover for the current fleet state. `replay_steps`
-    /// is how far the rollback would rewind (current step minus
-    /// snapshot step).
-    #[must_use]
-    pub fn price(
-        &self,
-        world: usize,
-        healthy_step_ms: f64,
-        slowdown: f64,
-        replay_steps: usize,
-    ) -> GrayFailureCost {
-        price_gray_failure(
-            &self.costs,
-            world,
-            healthy_step_ms,
-            slowdown,
-            self.horizon_steps,
-            replay_steps,
-            self.moved_bytes,
-            self.checkpoint_bytes,
-        )
-    }
 }
 
 #[cfg(test)]

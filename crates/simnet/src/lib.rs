@@ -42,9 +42,7 @@ mod cost;
 mod engine;
 mod error;
 mod gantt;
-mod gray;
-mod migrate;
-mod reconfig;
+mod pause;
 mod stepmodel;
 mod task;
 mod testbed;
@@ -54,9 +52,9 @@ pub use cost::{CostModel, OpCosts};
 pub use engine::{Engine, Span, Straggler, Timeline};
 pub use error::SimError;
 pub use gantt::render_gantt;
-pub use gray::{price_gray_failure, GrayFailureCost};
-pub use migrate::{add_migration_tasks, price_migration, MigrationCost};
-pub use reconfig::{add_reconfiguration_tasks, price_reconfiguration, ReconfigCost};
+pub use pause::{
+    price_migration, price_reconfiguration, GrayFailureCost, GrayFailurePolicy, PhaseCost,
+};
 pub use stepmodel::{StepModel, StepPrediction};
 pub use task::{ResourceId, Task, TaskGraph, TaskId};
 pub use testbed::{Testbed, TestbedKind};
@@ -64,3 +62,69 @@ pub use trace::{timeline_trace, SIMNET_PID};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SimError>;
+
+// One test per pause pricer and shared property; the checks themselves are
+// in `pause::tests`.
+#[cfg(test)]
+mod reconfig {
+    mod tests {
+        use crate::pause::tests::{self as check, Pricer::Reconfig};
+
+        #[test]
+        fn phases_follow_the_alpha_beta_models() {
+            check::phases_follow_the_alpha_beta_models(Reconfig);
+        }
+
+        #[test]
+        fn cost_is_monotone_in_every_input() {
+            check::cost_is_monotone_in_every_input(Reconfig);
+        }
+
+        #[test]
+        fn degenerate_inputs_clamp_instead_of_poisoning() {
+            check::degenerate_inputs_clamp_instead_of_poisoning(Reconfig);
+        }
+
+        #[test]
+        fn tasks_extend_the_critical_path_by_exactly_the_total() {
+            check::tasks_extend_the_critical_path_by_exactly_the_total(Reconfig);
+        }
+    }
+}
+
+#[cfg(test)]
+mod migrate {
+    mod tests {
+        use crate::pause::tests::{self as check, Pricer::Migrate};
+
+        #[test]
+        fn phases_follow_the_alpha_beta_models() {
+            check::phases_follow_the_alpha_beta_models(Migrate);
+        }
+
+        #[test]
+        fn cost_is_monotone_in_every_input() {
+            check::cost_is_monotone_in_every_input(Migrate);
+        }
+
+        #[test]
+        fn degenerate_inputs_clamp_instead_of_poisoning() {
+            check::degenerate_inputs_clamp_instead_of_poisoning(Migrate);
+        }
+
+        #[test]
+        fn tasks_extend_the_critical_path_by_exactly_the_total() {
+            check::tasks_extend_the_critical_path_by_exactly_the_total(Migrate);
+        }
+    }
+}
+
+#[cfg(test)]
+mod gray {
+    mod tests {
+        #[test]
+        fn degenerate_inputs_clamp_instead_of_poisoning() {
+            crate::pause::tests::gray_inputs_clamp_instead_of_poisoning();
+        }
+    }
+}
